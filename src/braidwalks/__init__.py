@@ -44,14 +44,12 @@ from .qops import (
     relation_oracle_check,
 )
 from .walks import (
-    OperatorMonomial,
     OperatorPolynomial,
     Path,
     Walk,
     cancellation_pairing,
     enumerate_paths,
     enumerate_walks,
-    evaluate_monomial,
     evaluate_series,
     op_mul,
     series_terms,
@@ -69,7 +67,6 @@ __all__ = [
     "NormalForm",
     "NotAKnotError",
     "OperatorMatrix",
-    "OperatorMonomial",
     "OperatorPolynomial",
     "Path",
     "PipelineMismatchError",
@@ -82,7 +79,6 @@ __all__ = [
     "enumerate_paths",
     "enumerate_walks",
     "eval_crossing",
-    "evaluate_monomial",
     "evaluate_series",
     "figure_eight_closed_form",
     "is_knot_closure",

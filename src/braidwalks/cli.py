@@ -63,18 +63,10 @@ def _dispatch(args: argparse.Namespace) -> str:
 
     if args.subcommand == "walks":
         walks = enumerate_walks(b, simple_only=not args.all)
-        dump = []
-        for walk in walks:
-            entry = walk.to_json()
-            weight = walk_weight(walk, b)
-            entry["weight"] = {
-                "coeff": weight.coeff.to_json(),
-                "words": {
-                    str(j): {"sign": cw.sign, "word": cw.word}
-                    for j, cw in sorted(weight.words.items())
-                },
-            }
-            dump.append(entry)
+        dump = [
+            {**walk.to_json(), "weight": walk_weight(walk, b).to_json()}
+            for walk in walks
+        ]
         return json.dumps(dump, sort_keys=True)
 
     if args.subcommand == "matrix":

@@ -42,9 +42,8 @@ class JonesResult:
 def colored_jones(b: BraidWord, N: int, method: str = "both") -> JonesResult:
     """The normalized colored Jones polynomial of the braid closure.
 
-    method is one of "walks", "qdet" or "both"; "both" computes the
-    polynomial through each pipeline and raises PipelineMismatchError if
-    they differ.
+    method is one of "walks", "qdet" or "both"; "both" builds C through
+    each pipeline and raises PipelineMismatchError if they differ.
     """
     if N < 2:
         raise ValueError("color N must be at least 2")
@@ -59,24 +58,14 @@ def colored_jones(b: BraidWord, N: int, method: str = "both") -> JonesResult:
 
     if len(b) == 0:
         poly = LaurentPolynomial.one()
-    elif method == "walks":
-        poly = evaluate_series(walk_sum_C(b, simple_only=True), b, N)
-    elif method == "qdet":
-        poly = evaluate_series(C_qdet(b), b, N)
     else:
-        C_w = walk_sum_C(b, simple_only=True)
-        C_q = C_qdet(b)
-        if C_w != C_q:
+        C = C_qdet(b) if method == "qdet" else walk_sum_C(b, simple_only=True)
+        # equal operator polynomials have equal series, so "both" evaluates once
+        if method == "both" and C != C_qdet(b):
             raise PipelineMismatchError(
                 f"walk and qdet operator polynomials differ for {b.serialize()!r}"
             )
-        poly_w = evaluate_series(C_w, b, N)
-        poly_q = evaluate_series(C_q, b, N)
-        if poly_w != poly_q:
-            raise PipelineMismatchError(
-                f"pipeline evaluations differ for {b.serialize()!r} at N={N}"
-            )
-        poly = poly_w
+        poly = evaluate_series(C, b, N)
     return JonesResult(b, N, poly.shifted(framing), method, framing)
 
 

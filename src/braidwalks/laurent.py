@@ -193,8 +193,3 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self._terms!r})"
-
-
-ZERO = LaurentPolynomial.zero()
-ONE = LaurentPolynomial.one()
-Q = LaurentPolynomial.term(1)

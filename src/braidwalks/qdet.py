@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 from .braid import BraidWord
 from .laurent import LaurentPolynomial
 from .qops import CrossingWord
-from .walks import OperatorMonomial, OperatorPolynomial, op_mul
+from .walks import OperatorPolynomial, inversions, op_mul
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,6 @@ class OperatorMatrix:
             tuple(tuple(self.entries[i][j] for j in cols) for i in rows)
         )
 
-    def with_entry(self, i: int, j: int, value: OperatorPolynomial) -> "OperatorMatrix":
-        rows = [list(row) for row in self.entries]
-        rows[i][j] = value
-        return OperatorMatrix(tuple(tuple(row) for row in rows))
-
     def to_json(self) -> list[list[list]]:
         return [[e.to_json() for e in row] for row in self.entries]
 
@@ -65,8 +60,8 @@ def identity_matrix(m: int) -> OperatorMatrix:
 
 
 def _letter(j: int, sign: int, letter: str) -> OperatorPolynomial:
-    return OperatorPolynomial.from_monomial(
-        OperatorMonomial(LaurentPolynomial.one(), {j: CrossingWord(sign, letter)})
+    return OperatorPolynomial.from_words(
+        LaurentPolynomial.one(), {j: CrossingWord(sign, letter)}
     )
 
 
@@ -82,11 +77,11 @@ def local_matrix(j: int, sign: int, l: int, m: int) -> OperatorMatrix:
     c = _letter(j, sign, "c")
     zero = OperatorPolynomial.zero()
     block = ((a, b), (c, zero)) if sign > 0 else ((zero, c), (b, a))
-    result = identity_matrix(m)
+    rows = [list(row) for row in identity_matrix(m).entries]
     for di in range(2):
         for dj in range(2):
-            result = result.with_entry(l - 1 + di, l - 1 + dj, block[di][dj])
-    return result
+            rows[l - 1 + di][l - 1 + dj] = block[di][dj]
+    return OperatorMatrix(tuple(tuple(row) for row in rows))
 
 
 def mat_mul(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
@@ -119,15 +114,6 @@ def rho(b: BraidWord) -> OperatorMatrix:
     return result
 
 
-def _inversions(perm: tuple[int, ...]) -> int:
-    return sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-
-
 def det_q(A: OperatorMatrix) -> OperatorPolynomial:
     """Quantum determinant: sum over permutations of (-q)^inv times the
     column-ascending product of entries."""
@@ -141,7 +127,7 @@ def det_q(A: OperatorMatrix) -> OperatorPolynomial:
                 break
         if not prod:
             continue
-        inv = _inversions(perm)
+        inv = inversions(perm)
         total = total + prod.scaled(LaurentPolynomial.term(inv, (-1) ** inv))
     return total
 

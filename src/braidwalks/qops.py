@@ -90,22 +90,6 @@ def normal_order(w: CrossingWord) -> NormalForm:
     return NormalForm(shift, word.count("b"), word.count("c"), word.count("a"))
 
 
-def nf_mul(left: NormalForm, right: NormalForm, sign: int) -> NormalForm:
-    """Normal form of the concatenation left * right at one crossing."""
-    swap = _SWAP_EXP[sign]
-    cross = (
-        left.r * right.s * swap[("c", "b")]
-        + left.d * right.s * swap[("a", "b")]
-        + left.d * right.r * swap[("a", "c")]
-    )
-    return NormalForm(
-        left.q_shift + right.q_shift + cross,
-        left.s + right.s,
-        left.r + right.r,
-        left.d + right.d,
-    )
-
-
 @lru_cache(maxsize=None)
 def _eval_base(sign: int, r: int, d: int, N: int) -> LaurentPolynomial:
     one = LaurentPolynomial.one()

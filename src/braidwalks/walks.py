@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .braid import BraidWord, DiagramCell, NotAKnotError, is_knot_closure
 from .laurent import LaurentPolynomial
-from .qops import _SWAP_EXP, CrossingWord, _eval_base, nf_mul, normal_order
+from .qops import _SWAP_EXP, CrossingWord, _eval_base, normal_order
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,6 @@ class Path:
     footprint: tuple[DiagramCell, ...]
     letters: tuple[tuple[int, str], ...]
 
-    @property
-    def letter_map(self) -> dict[int, str]:
-        return dict(self.letters)
-
     def cells(self) -> frozenset[DiagramCell]:
         return frozenset(self.footprint)
 
@@ -46,6 +42,16 @@ class Path:
             "letters": {str(j): letter for j, letter in self.letters},
             "footprint": [list(cell) for cell in self.footprint],
         }
+
+
+def inversions(seq: tuple[int, ...]) -> int:
+    """Number of pairs i < j with seq[i] > seq[j]."""
+    return sum(
+        1
+        for i in range(len(seq))
+        for j in range(i + 1, len(seq))
+        if seq[i] > seq[j]
+    )
 
 
 def enumerate_paths(b: BraidWord, start: int) -> list[Path]:
@@ -112,13 +118,7 @@ class Walk:
         return {p.start: p.end for p in self.paths}
 
     def inversions(self) -> int:
-        ends = [p.end for p in self.paths]
-        return sum(
-            1
-            for i in range(len(ends))
-            for j in range(i + 1, len(ends))
-            if ends[i] > ends[j]
-        )
+        return inversions(tuple(p.end for p in self.paths))
 
     def is_simple(self) -> bool:
         """No two paths traverse the same diagram cell."""
@@ -168,40 +168,6 @@ def enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
     return walks
 
 
-@dataclass
-class OperatorMonomial:
-    """A global Laurent coefficient times one crossing word per crossing."""
-
-    coeff: LaurentPolynomial
-    words: dict[int, CrossingWord]
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorMonomial):
-            return NotImplemented
-        mine = {j: w for j, w in self.words.items() if w.word}
-        theirs = {j: w for j, w in other.words.items() if w.word}
-        return self.coeff == other.coeff and mine == theirs
-
-
-def walk_weight(walk: Walk, b: BraidWord) -> OperatorMonomial:
-    """The weight (-1)(-q)^(|J| + inv) times the ordered path letters.
-
-    At each crossing the letters of the paths are appended in ascending
-    start order, leftmost path first.
-    """
-    e = len(walk.paths) + walk.inversions()
-    coeff = LaurentPolynomial.term(e, (-1) ** (e + 1))
-    letters: dict[int, list[str]] = {}
-    for path in walk.paths:
-        for j, letter in path.letters:
-            letters.setdefault(j, []).append(letter)
-    words = {
-        j: CrossingWord(b.crossing(j)[1], "".join(parts))
-        for j, parts in letters.items()
-    }
-    return OperatorMonomial(coeff, words)
-
-
 # Canonical key of an operator monomial: a tuple of (crossing index, sign,
 # s, r, d) entries sorted by crossing index, with all q-shifts folded into
 # the coefficient.  This makes operator equality decidable (PBW basis per
@@ -226,17 +192,21 @@ class OperatorPolynomial:
         return cls({(): LaurentPolynomial.one()})
 
     @classmethod
-    def from_monomial(cls, mono: OperatorMonomial) -> "OperatorPolynomial":
+    def from_words(
+        cls, coeff: LaurentPolynomial, words: Mapping[int, CrossingWord]
+    ) -> "OperatorPolynomial":
+        """The one-term polynomial coeff times one word per crossing index;
+        empty words are skipped."""
         shift = 0
         key = []
-        for j in sorted(mono.words):
-            cw = mono.words[j]
+        for j in sorted(words):
+            cw = words[j]
             if not cw.word:
                 continue
             nf = normal_order(cw)
             shift += nf.q_shift
             key.append((j, cw.sign, nf.s, nf.r, nf.d))
-        return cls({tuple(key): mono.coeff.shifted(shift)})
+        return cls({tuple(key): coeff.shifted(shift)})
 
     @property
     def terms(self) -> dict[CanonicalKey, LaurentPolynomial]:
@@ -347,25 +317,32 @@ def op_mul(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomial:
     return result
 
 
+def walk_weight(walk: Walk, b: BraidWord) -> OperatorPolynomial:
+    """The weight (-1)(-q)^(|J| + inv) times the ordered path letters.
+
+    At each crossing the letters of the paths are appended in ascending
+    start order, leftmost path first; the result is a one-term polynomial.
+    """
+    e = len(walk.paths) + walk.inversions()
+    letters: dict[int, list[str]] = {}
+    for path in walk.paths:
+        for j, letter in path.letters:
+            letters.setdefault(j, []).append(letter)
+    words = {
+        j: CrossingWord(b.crossing(j)[1], "".join(parts))
+        for j, parts in letters.items()
+    }
+    return OperatorPolynomial.from_words(
+        LaurentPolynomial.term(e, (-1) ** (e + 1)), words
+    )
+
+
 def walk_sum_C(b: BraidWord, simple_only: bool = True) -> OperatorPolynomial:
     """The polynomial C: sum of the weights of walks with J in {2..m}."""
     total = OperatorPolynomial.zero()
     for walk in enumerate_walks(b, simple_only):
-        total = total + OperatorPolynomial.from_monomial(walk_weight(walk, b))
+        total = total + walk_weight(walk, b)
     return total
-
-
-def evaluate_monomial(mono: OperatorMonomial, N: int) -> LaurentPolynomial:
-    """E_N of a single monomial: the coefficient times the per-crossing values."""
-    from .qops import eval_crossing
-
-    result = mono.coeff
-    for j in sorted(mono.words):
-        cw = mono.words[j]
-        result = result * eval_crossing(normal_order(cw), cw.sign, N)
-        if not result:
-            break
-    return result
 
 
 def evaluate_polynomial(p: OperatorPolynomial, N: int) -> LaurentPolynomial:
@@ -383,7 +360,7 @@ def evaluate_polynomial(p: OperatorPolynomial, N: int) -> LaurentPolynomial:
 
 
 def series_terms(
-    C: OperatorPolynomial, b: BraidWord, N: int, n_max: int
+    C: OperatorPolynomial, N: int, n_max: int
 ) -> list[LaurentPolynomial]:
     """[E_N(C^0), E_N(C^1), ..., E_N(C^n_max)]."""
     terms = [LaurentPolynomial.one()]
@@ -415,7 +392,7 @@ def evaluate_series(
         return LaurentPolynomial.one()
     n_max = (b.strands - 1) * (N - 1)
     total = LaurentPolynomial.zero()
-    for term in series_terms(C, b, N, n_max):
+    for term in series_terms(C, N, n_max):
         total = total + term
     return total
 
@@ -430,12 +407,7 @@ def cancellation_pairing(b: BraidWord) -> bool:
     simple = [w for w in all_walks if w.is_simple()]
     if (len(all_walks) - len(simple)) % 2 != 0:
         return False
-    total_all = OperatorPolynomial.zero()
-    for walk in all_walks:
-        total_all = total_all + OperatorPolynomial.from_monomial(walk_weight(walk, b))
-    total_simple = OperatorPolynomial.zero()
-    for walk in simple:
-        total_simple = total_simple + OperatorPolynomial.from_monomial(
-            walk_weight(walk, b)
-        )
+    zero = OperatorPolynomial.zero()
+    total_all = sum((walk_weight(w, b) for w in all_walks), zero)
+    total_simple = sum((walk_weight(w, b) for w in simple), zero)
     return total_all == total_simple

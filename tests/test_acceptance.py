@@ -15,12 +15,12 @@ from braidwalks import (
     BraidWord,
     CrossingWord,
     LaurentPolynomial,
+    OperatorMatrix,
     OperatorPolynomial,
     bracket_jones_oracle,
     colored_jones,
     enumerate_walks,
     eval_crossing,
-    evaluate_monomial,
     figure_eight_closed_form,
     matrix_is_right_quantum,
     normal_order,
@@ -38,6 +38,7 @@ from braidwalks import (
 )
 from braidwalks.cli import main as cli_main
 from braidwalks.qdet import C_qdet
+from braidwalks.walks import evaluate_polynomial
 from corpus_util import knot_closure_words, random_positive_knot_words
 
 FIG8 = parse_braid("1 -2 1 -2", 3)
@@ -80,10 +81,10 @@ def sweep(corpus):
         simple = [w for w in all_walks if w.is_simple()]
         C_all = OperatorPolynomial.zero()
         for w in all_walks:
-            C_all = C_all + OperatorPolynomial.from_monomial(walk_weight(w, b))
+            C_all = C_all + walk_weight(w, b)
         C_simple = OperatorPolynomial.zero()
         for w in simple:
-            C_simple = C_simple + OperatorPolynomial.from_monomial(walk_weight(w, b))
+            C_simple = C_simple + walk_weight(w, b)
         if C_all != C_simple or (len(all_walks) - len(simple)) % 2 != 0:
             results["cancellation_failures"].append(name)
         C_q = C_qdet(b)
@@ -95,8 +96,8 @@ def sweep(corpus):
             # the beyond-the-bound vanishing spot check runs at N=2, where
             # the two extra operator powers stay affordable corpus-wide
             extra = 2 if N == 2 else 0
-            terms_w = series_terms(C_simple, b, N, n_max + extra)
-            terms_q = series_terms(C_q, b, N, n_max)
+            terms_w = series_terms(C_simple, N, n_max + extra)
+            terms_q = series_terms(C_q, N, n_max)
             series_w = sum(terms_w[: n_max + 1], LaurentPolynomial.zero())
             series_q = sum(terms_q, LaurentPolynomial.zero())
             if series_w != series_q:
@@ -126,26 +127,22 @@ def test_criterion_01_figure_eight_cli(capsys):
 
 def test_criterion_02_reference_intermediates():
     walks = enumerate_walks(FIG8, simple_only=True)
-    weight_a = walk_weight(next(w for w in walks if w.J == (3,)), FIG8)
-    weight_b = walk_weight(next(w for w in walks if w.J == (2, 3)), FIG8)
-    ok_a = weight_a.coeff == Q and weight_a.words == {
-        2: CrossingWord(-1, "a"),
-        4: CrossingWord(-1, "a"),
-    }
-    ok_b = weight_b.coeff == LaurentPolynomial.term(3) and weight_b.words == {
-        1: CrossingWord(1, "c"),
-        2: CrossingWord(-1, "a"),
-        3: CrossingWord(1, "b"),
-        4: CrossingWord(-1, "bc"),
-    }
+    walk_b = next(w for w in walks if w.J == (2, 3))
+    A = walk_weight(next(w for w in walks if w.J == (3,)), FIG8)
+    B = walk_weight(walk_b, FIG8)
+    # canonical keys (crossing, sign, #b, #c, #a): A = q a-_2 a-_4 and
+    # B = q^3 c+_1 a-_2 b+_3 (bc)-_4, the word at crossing 4 being b from
+    # the start-2 path followed by c from the start-3 path
+    ok_a = A.terms == {((2, -1, 0, 0, 1), (4, -1, 0, 0, 1)): Q}
+    ok_b = B.terms == {
+        ((1, 1, 0, 1, 0), (2, -1, 0, 0, 1), (3, 1, 1, 0, 0), (4, -1, 1, 1, 0)):
+            LaurentPolynomial.term(3)
+    } and [p.letters[-1] for p in walk_b.paths] == [(4, "b"), (4, "c")]
     qinv = LaurentPolynomial.term(-1)
     ok_eval = (
-        evaluate_monomial(weight_a, 2) == Q * (ONE - qinv) ** 2
-        and evaluate_monomial(weight_b, 2)
-        == LaurentPolynomial.term(3) * (ONE - qinv)
+        evaluate_polynomial(A, 2) == Q * (ONE - qinv) ** 2
+        and evaluate_polynomial(B, 2) == LaurentPolynomial.term(3) * (ONE - qinv)
     )
-    A = OperatorPolynomial.from_monomial(weight_a)
-    B = OperatorPolynomial.from_monomial(weight_b)
     ok_comm = op_mul(A, B) == op_mul(B, A).scaled(Q)
     report(
         2,
@@ -178,7 +175,7 @@ def test_criterion_05_truncation(sweep):
     fig8_ok = True
     C = walk_sum_C(FIG8, simple_only=True)
     for N in range(2, 6):
-        terms = series_terms(C, FIG8, N, 2 * (N - 1))
+        terms = series_terms(C, N, 2 * (N - 1))
         if any(terms[n] for n in range(N, 2 * (N - 1) + 1)):
             fig8_ok = False
     ok = fig8_ok and not sweep["truncation_failures"]
@@ -290,7 +287,9 @@ def test_criterion_11_right_quantum(corpus):
     short = [b for b in corpus if len(b) <= 4]
     ok = all(right_quantum_check(b) for b in short)
     M = rho(FIG8)
-    corrupted = M.with_entry(0, 0, M[1, 1]).with_entry(1, 1, M[0, 0])
+    rows = [list(row) for row in M.entries]
+    rows[0][0], rows[1][1] = M[1, 1], M[0, 0]
+    corrupted = OperatorMatrix(tuple(tuple(row) for row in rows))
     negative_ok = not matrix_is_right_quantum(corrupted)
     report(
         11,

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from braidwalks import OperatorPolynomial, PipelineMismatchError, jones, parse_braid
 from braidwalks.cli import main
 
 
@@ -80,8 +83,29 @@ def test_walks_dump(capsys):
     data = json.loads(out)
     assert len(data) == 2
     by_J = {tuple(entry["J"]): entry for entry in data}
-    assert by_J[(3,)]["weight"]["coeff"] == {"1": 1}
-    assert by_J[(2, 3)]["weight"]["words"]["4"] == {"sign": -1, "word": "bc"}
+    assert by_J[(3,)]["weight"] == [
+        {
+            "coeff": {"1": 1},
+            "crossings": [
+                {"crossing": 2, "sign": -1, "b": 0, "c": 0, "a": 1},
+                {"crossing": 4, "sign": -1, "b": 0, "c": 0, "a": 1},
+            ],
+        }
+    ]
+    walk_b = by_J[(2, 3)]
+    # crossing 4 carries the word bc: b from the start-2 path, then c
+    assert [p["letters"]["4"] for p in walk_b["paths"]] == ["b", "c"]
+    assert walk_b["weight"] == [
+        {
+            "coeff": {"3": 1},
+            "crossings": [
+                {"crossing": 1, "sign": 1, "b": 0, "c": 1, "a": 0},
+                {"crossing": 2, "sign": -1, "b": 0, "c": 0, "a": 1},
+                {"crossing": 3, "sign": 1, "b": 1, "c": 0, "a": 0},
+                {"crossing": 4, "sign": -1, "b": 1, "c": 1, "a": 0},
+            ],
+        }
+    ]
 
 
 def test_matrix_dump(capsys):
@@ -100,3 +124,22 @@ def test_oracle_subcommand(capsys):
     code, out, _ = run(capsys, "oracle", "--braid", "1 1 1", "--strands", "2")
     assert code == 0
     assert out.strip() == "q + q^3 - q^4"
+
+
+def test_pipeline_mismatch_exit_code(capsys, monkeypatch):
+    real = jones.C_qdet
+
+    def C_qdet_missing_a_term(b):
+        terms = real(b).terms
+        del terms[min(terms)]
+        return OperatorPolynomial(terms)
+
+    monkeypatch.setattr(jones, "C_qdet", C_qdet_missing_a_term)
+    with pytest.raises(PipelineMismatchError):
+        jones.colored_jones(parse_braid("1 -2 1 -2", 3), 2)
+    code, out, err = run(
+        capsys, "compute", "--braid", "1 -2 1 -2", "--strands", "3", "--color", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "internal consistency failure" in err

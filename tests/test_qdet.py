@@ -6,7 +6,6 @@ from braidwalks import (
     CrossingWord,
     LaurentPolynomial,
     OperatorMatrix,
-    OperatorMonomial,
     OperatorPolynomial,
     det_q,
     enumerate_paths,
@@ -26,9 +25,7 @@ ONE = LaurentPolynomial.one()
 
 
 def letter_poly(j, sign, letter):
-    return OperatorPolynomial.from_monomial(
-        OperatorMonomial(ONE, {j: CrossingWord(sign, letter)})
-    )
+    return OperatorPolynomial.from_words(ONE, {j: CrossingWord(sign, letter)})
 
 
 class TestLocalMatrix:
@@ -71,14 +68,13 @@ class TestRho:
         for start in range(1, strands + 1):
             by_end = {}
             for p in enumerate_paths(b, start):
-                mono = OperatorMonomial(
+                poly = OperatorPolynomial.from_words(
                     ONE,
                     {
                         j: CrossingWord(b.crossing(j)[1], letter)
                         for j, letter in p.letters
                     },
                 )
-                poly = OperatorPolynomial.from_monomial(mono)
                 by_end[p.end] = by_end.get(p.end, OperatorPolynomial.zero()) + poly
             for end in range(1, strands + 1):
                 expected = by_end.get(end, OperatorPolynomial.zero())
@@ -126,5 +122,7 @@ class TestRightQuantum:
 
     def test_corrupted_matrix_fails(self):
         M = rho(FIG8)
-        corrupted = M.with_entry(0, 0, M[1, 1]).with_entry(1, 1, M[0, 0])
+        rows = [list(row) for row in M.entries]
+        rows[0][0], rows[1][1] = M[1, 1], M[0, 0]
+        corrupted = OperatorMatrix(tuple(tuple(row) for row in rows))
         assert not matrix_is_right_quantum(corrupted)

@@ -7,12 +7,13 @@ from braidwalks import (
     CrossingWord,
     LaurentPolynomial,
     NormalForm,
+    OperatorPolynomial,
     eval_crossing,
     normal_order,
     oracle_apply,
+    op_mul,
     relation_oracle_check,
 )
-from braidwalks.qops import nf_mul
 
 ONE = LaurentPolynomial.one()
 Q = LaurentPolynomial.term(1)
@@ -42,9 +43,12 @@ class TestNormalOrder:
         st.text(alphabet="abc", max_size=6),
     )
     def test_multiplicative(self, sign, u, v):
-        left = normal_order(CrossingWord(sign, u))
-        right = normal_order(CrossingWord(sign, v))
-        assert nf_mul(left, right, sign) == normal_order(CrossingWord(sign, u + v))
+        # the product of canonical terms at one crossing is the canonical
+        # term of the concatenated word
+        def term(word):
+            return OperatorPolynomial.from_words(ONE, {1: CrossingWord(sign, word)})
+
+        assert op_mul(term(u), term(v)) == term(u + v)
 
 
 class TestEvalCrossing:

@@ -5,12 +5,10 @@ from braidwalks import (
     CrossingWord,
     LaurentPolynomial,
     NotAKnotError,
-    OperatorMonomial,
     OperatorPolynomial,
     cancellation_pairing,
     enumerate_paths,
     enumerate_walks,
-    evaluate_monomial,
     evaluate_series,
     op_mul,
     parse_braid,
@@ -18,6 +16,7 @@ from braidwalks import (
     walk_sum_C,
     walk_weight,
 )
+from braidwalks.walks import evaluate_polynomial
 
 FIG8 = parse_braid("1 -2 1 -2", 3)
 ONE = LaurentPolynomial.one()
@@ -84,48 +83,58 @@ class TestWalks:
 class TestWalkWeight:
     def test_walk_A(self):
         a, _ = fig8_walks()
-        weight = walk_weight(a, FIG8)
-        assert weight.coeff == Q
-        assert weight.words == {
-            2: CrossingWord(-1, "a"),
-            4: CrossingWord(-1, "a"),
+        assert walk_weight(a, FIG8).terms == {
+            ((2, -1, 0, 0, 1), (4, -1, 0, 0, 1)): Q
         }
 
     def test_walk_B(self):
         _, b = fig8_walks()
-        weight = walk_weight(b, FIG8)
-        assert weight.coeff == LaurentPolynomial.term(3)
-        assert weight.words == {
-            1: CrossingWord(1, "c"),
-            2: CrossingWord(-1, "a"),
-            3: CrossingWord(1, "b"),
-            4: CrossingWord(-1, "bc"),
+        # the letters at crossing 4 are ordered by start: b (start 2), then
+        # c (start 3); the word "bc" is already normal, "cb" would be q^2 bc
+        assert [p.letters[-1] for p in b.paths] == [(4, "b"), (4, "c")]
+        assert walk_weight(b, FIG8).terms == {
+            (
+                (1, 1, 0, 1, 0),
+                (2, -1, 0, 0, 1),
+                (3, 1, 1, 0, 0),
+                (4, -1, 1, 1, 0),
+            ): LaurentPolynomial.term(3)
         }
+        assert walk_weight(b, FIG8) == OperatorPolynomial.from_words(
+            LaurentPolynomial.term(3),
+            {
+                1: CrossingWord(1, "c"),
+                2: CrossingWord(-1, "a"),
+                3: CrossingWord(1, "b"),
+                4: CrossingWord(-1, "bc"),
+            },
+        )
 
     def test_single_path_walk_coeff_is_q(self):
         walks = enumerate_walks(parse_braid("-1", 2), simple_only=True)
         assert len(walks) == 1
-        assert walk_weight(walks[0], parse_braid("-1", 2)).coeff == Q
+        weight = walk_weight(walks[0], parse_braid("-1", 2))
+        assert list(weight.terms.values()) == [Q]
 
 
 class TestOperatorAlgebra:
     def test_AB_equals_q_BA(self):
         a, b = fig8_walks()
-        A = OperatorPolynomial.from_monomial(walk_weight(a, FIG8))
-        B = OperatorPolynomial.from_monomial(walk_weight(b, FIG8))
+        A = walk_weight(a, FIG8)
+        B = walk_weight(b, FIG8)
         assert op_mul(A, B) == op_mul(B, A).scaled(Q)
 
     def test_identity_is_unit(self):
         _, b = fig8_walks()
-        B = OperatorPolynomial.from_monomial(walk_weight(b, FIG8))
+        B = walk_weight(b, FIG8)
         one = OperatorPolynomial.one()
         assert op_mul(one, B) == B
         assert op_mul(B, one) == B
 
     def test_square_is_bilinear(self):
         a, b = fig8_walks()
-        A = OperatorPolynomial.from_monomial(walk_weight(a, FIG8))
-        B = OperatorPolynomial.from_monomial(walk_weight(b, FIG8))
+        A = walk_weight(a, FIG8)
+        B = walk_weight(b, FIG8)
         total = A + B
         expanded = (
             op_mul(A, A) + op_mul(A, B) + op_mul(B, A) + op_mul(B, B)
@@ -138,10 +147,7 @@ class TestWalkSum:
         C = walk_sum_C(FIG8, simple_only=True)
         assert len(C) == 2
         a, b = fig8_walks()
-        expected = OperatorPolynomial.from_monomial(
-            walk_weight(a, FIG8)
-        ) + OperatorPolynomial.from_monomial(walk_weight(b, FIG8))
-        assert C == expected
+        assert C == walk_weight(a, FIG8) + walk_weight(b, FIG8)
 
     def test_single_positive_crossing_C_is_zero(self):
         assert not walk_sum_C(parse_braid("1", 2))
@@ -150,16 +156,18 @@ class TestWalkSum:
 class TestEvaluation:
     def test_E2_of_walk_A(self):
         a, _ = fig8_walks()
-        value = evaluate_monomial(walk_weight(a, FIG8), 2)
+        value = evaluate_polynomial(walk_weight(a, FIG8), 2)
         assert value == Q * (ONE - LaurentPolynomial.term(-1)) ** 2
 
     def test_E2_of_walk_B(self):
         _, b = fig8_walks()
-        value = evaluate_monomial(walk_weight(b, FIG8), 2)
+        value = evaluate_polynomial(walk_weight(b, FIG8), 2)
         assert value == LaurentPolynomial.term(3) * (ONE - LaurentPolynomial.term(-1))
 
     def test_empty_monomial(self):
-        assert evaluate_monomial(OperatorMonomial(ONE, {}), 2) == ONE
+        empty = OperatorPolynomial.from_words(ONE, {1: CrossingWord(1, "")})
+        assert empty == OperatorPolynomial.one()
+        assert evaluate_polynomial(empty, 2) == ONE
 
 
 class TestSeries:
@@ -176,7 +184,7 @@ class TestSeries:
     def test_fig8_terms_vanish_from_N(self):
         C = walk_sum_C(FIG8)
         for N in (2, 3, 4):
-            terms = series_terms(C, FIG8, N, 2 * (N - 1))
+            terms = series_terms(C, N, 2 * (N - 1))
             for n, term in enumerate(terms):
                 if n >= N:
                     assert term.is_zero()
