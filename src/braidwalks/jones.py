@@ -39,6 +39,15 @@ class JonesResult:
         }
 
 
+def _half_exponent(double: int) -> int:
+    """Half of (N-1)(w-m+1), w the writhe (the crossing count of a positive
+    braid).  The closure of a knot is an m-cycle, which forces w = m - 1
+    (mod 2), so an odd value means the closure is not a knot."""
+    if double % 2:
+        raise NotAKnotError("odd framing exponent: the closure is not a knot")
+    return double // 2
+
+
 def colored_jones(b: BraidWord, N: int, method: str = "both") -> JonesResult:
     """The normalized colored Jones polynomial of the braid closure.
 
@@ -51,10 +60,7 @@ def colored_jones(b: BraidWord, N: int, method: str = "both") -> JonesResult:
         raise ValueError(f"unknown method {method!r}")
     if not is_knot_closure(b):
         raise NotAKnotError("closure of the braid is not a knot")
-    double_framing = (N - 1) * (writhe(b) - b.strands + 1)
-    # an m-cycle forces writhe = m - 1 (mod 2), so this is always even
-    assert double_framing % 2 == 0
-    framing = double_framing // 2
+    framing = _half_exponent((N - 1) * (writhe(b) - b.strands + 1))
 
     if len(b) == 0:
         poly = LaurentPolynomial.one()
@@ -103,9 +109,7 @@ def positive_braid_report(
         raise ValueError("braid word is not positive")
     result = colored_jones(b, N, method)
     poly = result.polynomial
-    double_L = (N - 1) * (len(b) - b.strands + 1)
-    assert double_L % 2 == 0
-    L = double_L // 2
+    L = _half_exponent((N - 1) * (len(b) - b.strands + 1))
     lowest = poly.valuation()
     coeffs = tuple(poly.coefficient(L + i) for i in range(N))
     verdict = lowest == L and coeffs[0] == 1 and all(c == 0 for c in coeffs[1:])

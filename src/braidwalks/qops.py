@@ -90,7 +90,9 @@ def normal_order(w: CrossingWord) -> NormalForm:
     return NormalForm(shift, word.count("b"), word.count("c"), word.count("a"))
 
 
-@lru_cache(maxsize=None)
+# bounded, so a long-lived process does not grow with every (r, d, N) it
+# has seen; one series needs far fewer distinct entries than this
+@lru_cache(maxsize=1 << 12)
 def _eval_base(sign: int, r: int, d: int, N: int) -> LaurentPolynomial:
     one = LaurentPolynomial.one()
     if sign > 0:

@@ -54,45 +54,56 @@ def inversions(seq: tuple[int, ...]) -> int:
     )
 
 
+def _moves(b: BraidWord, j: int, pos: int) -> tuple[tuple[str | None, int], ...]:
+    """(letter, next position) choices at crossing j, which lies between
+    gap j and gap j - 1, for a path at `pos`; the jump `a` comes first."""
+    l, sign = b.letters[j - 1]
+    over, under = (l, l + 1) if sign > 0 else (l + 1, l)
+    if pos == over:
+        return (("a", over), ("c", under))
+    if pos == under:
+        return (("b", over),)
+    return ((None, pos),)
+
+
 def enumerate_paths(b: BraidWord, start: int) -> list[Path]:
-    """All paths from `start`, in depth-first order (jump before over)."""
+    """All paths from `start`, in depth-first order (jump before over).
+
+    The search keeps its own stack, one entry per crossing entered, so its
+    depth is not bounded by the interpreter's recursion limit.  An entry
+    holds the remaining moves at its crossing and the number of letters
+    picked up before it; `cells` and `letters` are cut back to that depth
+    before each move is taken.
+    """
     if not 1 <= start <= b.strands:
         raise ValueError(f"start strand {start} out of range")
     k = len(b)
+    if k == 0:
+        return [Path(start, start, ((0, start),), ())]
     results: list[Path] = []
-
-    def walk(gap: int, pos: int, cells: list[DiagramCell], letters: list):
-        if gap == 0:
-            results.append(
-                Path(start, pos, tuple(cells), tuple(sorted(letters)))
-            )
-            return
-        j = gap  # crossing between gap `gap` and gap `gap - 1`
-        l, sign = b.letters[j - 1]
-        if sign > 0:
-            if pos == l:
-                options = (("a", l), ("c", l + 1))
-            elif pos == l + 1:
-                options = (("b", l),)
-            else:
-                options = ((None, pos),)
+    cells: list[DiagramCell] = [(k, start)]
+    letters: list[tuple[int, str]] = []  # descending crossing index
+    stack = [(iter(_moves(b, k, start)), 0)]
+    while stack:
+        depth = len(stack)
+        j = k + 1 - depth  # the crossing the top entry chooses at
+        moves, n_letters = stack[-1]
+        move = next(moves, None)
+        if move is None:
+            stack.pop()
+            continue
+        letter, nxt = move
+        del cells[depth:]
+        del letters[n_letters:]
+        cells.append((j - 1, nxt))
+        if letter is not None:
+            letters.append((j, letter))
+        if j > 1:
+            stack.append((iter(_moves(b, j - 1, nxt)), len(letters)))
         else:
-            if pos == l + 1:
-                options = (("a", l + 1), ("c", l))
-            elif pos == l:
-                options = (("b", l + 1),)
-            else:
-                options = ((None, pos),)
-        for letter, nxt in options:
-            cells.append((gap - 1, nxt))
-            if letter is not None:
-                letters.append((j, letter))
-            walk(gap - 1, nxt, cells, letters)
-            if letter is not None:
-                letters.pop()
-            cells.pop()
-
-    walk(k, start, [(k, start)], [])
+            results.append(
+                Path(start, nxt, tuple(cells), tuple(reversed(letters)))
+            )
     return results
 
 
@@ -359,14 +370,47 @@ def evaluate_polynomial(p: OperatorPolynomial, N: int) -> LaurentPolynomial:
     return total
 
 
+def _is_dead(key: CanonicalKey, N: int) -> bool:
+    """Some crossing of the key has r < N <= r + d, so E_N of it is zero."""
+    return any(r < N <= r + d for _j, _sign, _s, r, d in key)
+
+
 def series_terms(
     C: OperatorPolynomial, N: int, n_max: int
 ) -> list[LaurentPolynomial]:
-    """[E_N(C^0), E_N(C^1), ..., E_N(C^n_max)]."""
+    """[E_N(C^0), E_N(C^1), ..., E_N(C^n_max)].
+
+    Precondition: C is the walk polynomial of a braid whose closure is a
+    knot (walk_sum_C, or C_qdet, which gives the same polynomial).
+
+    Each power drops its dead keys, those with a crossing where
+    r < N <= r + d; _eval_base has the factor 1 - q^0 there, so a dead key
+    evaluates to zero.  Read a key of C^n as a stack of n simple walks and
+    count the paths of the stack through each cell.  At crossing j the
+    over-strand entry cell carries r + d paths (its a and c letters) and
+    the under-strand entry cell s (its b letters); the cell the c letters
+    lead to carries r and the one the b letters lead to s + d; every other
+    cell passes its count straight on.  Each walk's ends permute its
+    starts, so the gap-0 and gap-k cells of a position carry the same
+    count, and c and b follow the strand.  Start at a cell used at least N
+    times and follow the strand of the closure: each step either meets a
+    crossing with r < N <= r + d or reaches another cell used at least N
+    times.  The closure is a knot, so the strand would in the end reach the
+    gap-k cell of strand 1, which no walk uses (J lies in {2..m}); a dead
+    crossing comes first.  The converse is immediate, so a key is dead if
+    and only if its stack uses some cell N times.  Multiplying by C only
+    raises cell counts, so every descendant of a dead key is dead: the
+    pruned power is exactly the live part of C^n, and E_N of it is
+    E_N(C^n).  The (m-1)(N-1) truncation of evaluate_series is the case of
+    a gap-k cell used N times.
+    """
     terms = [LaurentPolynomial.one()]
     power = OperatorPolynomial.one()
     for _ in range(n_max):
         power = op_mul(power, C)
+        power = OperatorPolynomial(
+            {k: c for k, c in power._terms.items() if not _is_dead(k, N)}
+        )
         terms.append(evaluate_polynomial(power, N))
         if not power:
             terms.extend(
@@ -384,6 +428,7 @@ def evaluate_series(
     Beyond that bound every stack reuses some bottom cell N times, so the
     evaluation vanishes (pigeonhole over the bottom cells of strands 2..m).
     """
+    # the dead-key prune of series_terms holds only for knot closures
     if not is_knot_closure(b):
         raise NotAKnotError("closure of the braid is not a knot")
     if N < 2:

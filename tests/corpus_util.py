@@ -5,7 +5,14 @@ from __future__ import annotations
 import itertools
 import random
 
-from braidwalks import BraidWord, is_knot_closure
+from braidwalks import (
+    BraidWord,
+    LaurentPolynomial,
+    OperatorPolynomial,
+    is_knot_closure,
+    op_mul,
+)
+from braidwalks.walks import evaluate_polynomial
 
 
 def knot_closure_words(max_strands: int = 4, max_length: int = 6) -> list[BraidWord]:
@@ -37,3 +44,19 @@ def random_positive_knot_words(
         if is_knot_closure(b):
             out.append(b)
     return out
+
+
+def unpruned_series_terms(
+    C: OperatorPolynomial, N: int, n_max: int
+) -> list[LaurentPolynomial]:
+    """[E_N(C^0), ..., E_N(C^n_max)] from the full powers of C.
+
+    The power loop of series_terms without its dead-key prune, kept as the
+    reference the pruned loop is compared against.
+    """
+    terms = [LaurentPolynomial.one()]
+    power = OperatorPolynomial.one()
+    for _ in range(n_max):
+        power = op_mul(power, C)
+        terms.append(evaluate_polynomial(power, N))
+    return terms

@@ -7,6 +7,7 @@ from braidwalks import (
     bracket_jones_oracle,
     colored_jones,
     figure_eight_closed_form,
+    jones,
     parse_braid,
     positive_braid_report,
     qbinomial,
@@ -44,6 +45,13 @@ class TestColoredJones:
             colored_jones(FIG8, 1)
         with pytest.raises(ValueError):
             colored_jones(FIG8, 2, "magic")
+
+    def test_odd_framing_exponent_raises(self, monkeypatch):
+        # past the knot test, the Hopf link's odd (N-1)(w-m+1) is still
+        # refused by an explicit check, not an assert
+        monkeypatch.setattr(jones, "is_knot_closure", lambda b: True)
+        with pytest.raises(NotAKnotError, match="odd framing exponent"):
+            colored_jones(parse_braid("1 1", 2), 2)
 
 
 class TestBracketOracle:

@@ -16,7 +16,8 @@ from braidwalks import (
     walk_sum_C,
     walk_weight,
 )
-from braidwalks.walks import evaluate_polynomial
+from braidwalks.walks import _is_dead, _merge_keys, evaluate_polynomial
+from corpus_util import knot_closure_words, unpruned_series_terms
 
 FIG8 = parse_braid("1 -2 1 -2", 3)
 ONE = LaurentPolynomial.one()
@@ -64,6 +65,13 @@ class TestPaths:
     def test_rejects_bad_start(self):
         with pytest.raises(ValueError):
             enumerate_paths(FIG8, 4)
+
+    def test_long_word_beyond_recursion_limit(self):
+        # 1203 crossings, deeper than the default recursion limit
+        b = BraidWord(4, ((1, 1), (2, 1), (3, 1)) + ((3, 1), (3, -1)) * 600)
+        assert [len(enumerate_paths(b, s)) for s in (1, 2, 3, 4)] == [
+            2, 2, 2, 2401
+        ]
 
 
 class TestWalks:
@@ -184,10 +192,54 @@ class TestSeries:
     def test_fig8_terms_vanish_from_N(self):
         C = walk_sum_C(FIG8)
         for N in (2, 3, 4):
-            terms = series_terms(C, N, 2 * (N - 1))
+            terms = unpruned_series_terms(C, N, 2 * (N - 1))
             for n, term in enumerate(terms):
                 if n >= N:
                     assert term.is_zero()
+
+    def test_pruned_matches_unpruned_N4(self):
+        # every 20th 3-strand corpus word; the whole 2856 take minutes
+        words = [b for b in knot_closure_words(3, 6) if b.strands == 3][::20]
+        assert len(words) > 100
+        for b in words:
+            C = walk_sum_C(b)
+            n_max = (b.strands - 1) * 3
+            assert series_terms(C, 4, n_max) == unpruned_series_terms(
+                C, 4, n_max
+            ), b.serialize()
+
+    @pytest.mark.parametrize(
+        "text,strands,N",
+        [
+            (text, strands, N)
+            for text, strands, colors in [
+                ("1 -2 1 -2", 3, (2, 3, 4)),
+                ("1 2 1 2 1 2 1 2", 3, (2, 3, 4)),
+                ("1 1 1 2 -1 2", 3, (2, 3, 4)),
+                ("1 2 3 1 2 3 1 2 3", 4, (2, 3, 4)),
+                ("1 -2 3 -4 1 -2 3 -4", 5, (2, 3)),
+            ]
+            for N in colors
+        ],
+    )
+    def test_dead_keys_stay_dead(self, text, strands, N):
+        # the property the prune of series_terms rests on: a dead key of an
+        # unpruned power evaluates to zero, and so does its product with
+        # every term of C
+        b = parse_braid(text, strands)
+        C = walk_sum_C(b)
+        power = OperatorPolynomial.one()
+        dead = 0
+        for _ in range((strands - 1) * (N - 1)):
+            power = op_mul(power, C)
+            for key in power.terms:
+                value = evaluate_polynomial(OperatorPolynomial({key: ONE}), N)
+                assert _is_dead(key, N) == (not value)
+                if _is_dead(key, N):
+                    dead += 1
+                    for t in C.terms:
+                        assert _is_dead(_merge_keys(key, t)[0], N), (key, t)
+        assert dead
 
     def test_zero_C_gives_one(self):
         b = parse_braid("1", 2)
