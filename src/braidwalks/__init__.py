@@ -47,7 +47,6 @@ from .walks import (
     OperatorPolynomial,
     Path,
     Walk,
-    cancellation_pairing,
     enumerate_paths,
     enumerate_walks,
     evaluate_series,
@@ -73,7 +72,6 @@ __all__ = [
     "PositiveBraidReport",
     "Walk",
     "bracket_jones_oracle",
-    "cancellation_pairing",
     "colored_jones",
     "det_q",
     "enumerate_paths",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class LaurentPolynomial:
@@ -128,6 +128,86 @@ class LaurentPolynomial:
                 result = result * base
             base = base * base
             n >>= 1
+        return result
+
+    @classmethod
+    def sum_of_products(
+        cls, rows: Iterable[Sequence["LaurentPolynomial"]]
+    ) -> "LaurentPolynomial":
+        """The sum over the rows of the product of each row's factors.
+
+        Computed by Kronecker substitution (Harvey, arXiv:0712.4046): each
+        factor f of valuation v becomes the integer q^-v f(q) at q = 2^B,
+        each row's integers are multiplied together and shifted by the
+        row's summed valuation, and the rows are added into one integer
+        that is unpacked once.  With m the lowest summed valuation over the
+        rows, the packed integer is exactly P(2^B) for the polynomial
+        P = q^-m * (the sum), whose exponents are all nonnegative.
+
+        The slot width B comes from bound = sum_i prod_j ||f_ij||_1, the
+        l1 norm being the sum of the absolute coefficients.  Since
+        ||f g||_1 <= ||f||_1 ||g||_1 and no coefficient exceeds the l1
+        norm, every coefficient of the sum is at most bound in absolute
+        value.  B = bound.bit_length() + 1 gives bound < 2^(B-1), so each
+        coefficient is a balanced base-2^B digit, in [-2^(B-1), 2^(B-1)).
+        Such digits are unique: P(2^B) determines its lowest digit as the
+        residue mod 2^B in that range, and the rest by induction.  So
+        reading one digit per exponent, from the lowest summed valuation to
+        the highest summed degree, returns P exactly, negative coefficients
+        included, and no slot can overflow.  A row holding the zero
+        polynomial is skipped; an empty row is the constant one.
+        """
+        rows = [row for row in rows if all(row)]
+        if not rows:
+            return cls()
+        # Factors repeat across rows (E_N reuses each crossing's factor), so
+        # each distinct object is measured and packed once; `rows` keeps
+        # every factor alive, so no id is reused during the call.
+        stats: dict[int, tuple[int, int, int]] = {}  # id -> (l1 norm, val, deg)
+        bound = 0
+        lows, highs = [], []
+        for row in rows:
+            norm = 1
+            val = deg = 0
+            for f in row:
+                s = stats.get(id(f))
+                if s is None:
+                    t = f._terms
+                    s = stats[id(f)] = (sum(map(abs, t.values())), min(t), max(t))
+                norm *= s[0]
+                val += s[1]
+                deg += s[2]
+            bound += norm
+            lows.append(val)
+            highs.append(deg)
+        low = min(lows)
+        B = bound.bit_length() + 1
+        packs: dict[int, int] = {}
+        packed = 0
+        for row, val in zip(rows, lows):
+            product = 1
+            for f in row:
+                p = packs.get(id(f))
+                if p is None:
+                    v = stats[id(f)][1]
+                    p = packs[id(f)] = sum(
+                        c << (B * (e - v)) for e, c in f._terms.items()
+                    )
+                product *= p
+            packed += product << (B * (val - low))
+        out: dict[int, int] = {}
+        mask = (1 << B) - 1
+        half = 1 << (B - 1)
+        for e in range(low, max(highs) + 1):
+            digit = packed & mask
+            packed >>= B
+            if digit >= half:
+                digit -= 1 << B
+                packed += 1
+            if digit:
+                out[e] = digit
+        result = cls.__new__(cls)
+        result._terms = out
         return result
 
     def shifted(self, exponent: int, coefficient: int = 1) -> "LaurentPolynomial":

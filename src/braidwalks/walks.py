@@ -357,17 +357,22 @@ def walk_sum_C(b: BraidWord, simple_only: bool = True) -> OperatorPolynomial:
 
 
 def evaluate_polynomial(p: OperatorPolynomial, N: int) -> LaurentPolynomial:
+    """E_N(p): each key's coefficient times its crossings' _eval_base
+    factors, summed over the keys by one packed sum_of_products; a key with
+    a zero factor is skipped."""
     if N < 2:
         raise ValueError("color N must be at least 2")
-    total = LaurentPolynomial.zero()
+    rows = []
     for key, coeff in p._terms.items():
-        value = coeff
+        row = [coeff]
         for _j, sign, _s, r, d in key:
-            value = value * _eval_base(sign, r, d, N)
-            if not value:
+            factor = _eval_base(sign, r, d, N)
+            if not factor:
                 break
-        total = total + value
-    return total
+            row.append(factor)
+        else:
+            rows.append(row)
+    return LaurentPolynomial.sum_of_products(rows)
 
 
 def _is_dead(key: CanonicalKey, N: int) -> bool:
@@ -440,19 +445,3 @@ def evaluate_series(
     for term in series_terms(C, N, n_max):
         total = total + term
     return total
-
-
-def cancellation_pairing(b: BraidWord) -> bool:
-    """Check that nonsimple walks cancel in pairs.
-
-    Verifies that the all-walks C equals the simple-walks C canonically,
-    and that the number of nonsimple walks is even.
-    """
-    all_walks = enumerate_walks(b, simple_only=False)
-    simple = [w for w in all_walks if w.is_simple()]
-    if (len(all_walks) - len(simple)) % 2 != 0:
-        return False
-    zero = OperatorPolynomial.zero()
-    total_all = sum((walk_weight(w, b) for w in all_walks), zero)
-    total_simple = sum((walk_weight(w, b) for w in simple), zero)
-    return total_all == total_simple

@@ -9,10 +9,12 @@ from braidwalks import (
     BraidWord,
     LaurentPolynomial,
     OperatorPolynomial,
+    enumerate_walks,
     is_knot_closure,
     op_mul,
+    walk_weight,
 )
-from braidwalks.walks import evaluate_polynomial
+from braidwalks.qops import _eval_base
 
 
 def knot_closure_words(max_strands: int = 4, max_length: int = 6) -> list[BraidWord]:
@@ -51,12 +53,47 @@ def unpruned_series_terms(
 ) -> list[LaurentPolynomial]:
     """[E_N(C^0), ..., E_N(C^n_max)] from the full powers of C.
 
-    The power loop of series_terms without its dead-key prune, kept as the
-    reference the pruned loop is compared against.
+    The power loop of series_terms without its dead-key prune, each power
+    evaluated by reference_evaluate_polynomial, kept as the reference the
+    pruned loop and its packed evaluation are compared against.
     """
     terms = [LaurentPolynomial.one()]
     power = OperatorPolynomial.one()
     for _ in range(n_max):
         power = op_mul(power, C)
-        terms.append(evaluate_polynomial(power, N))
+        terms.append(reference_evaluate_polynomial(power, N))
     return terms
+
+
+def reference_evaluate_polynomial(
+    p: OperatorPolynomial, N: int
+) -> LaurentPolynomial:
+    """E_N(p) by dict-loop Laurent products, one factor at a time: the
+    reference the packed walks.evaluate_polynomial is compared against."""
+    if N < 2:
+        raise ValueError("color N must be at least 2")
+    total = LaurentPolynomial.zero()
+    for key, coeff in p.terms.items():
+        value = coeff
+        for _j, sign, _s, r, d in key:
+            value = value * _eval_base(sign, r, d, N)
+            if not value:
+                break
+        total = total + value
+    return total
+
+
+def cancellation_pairing(b: BraidWord) -> bool:
+    """Check that nonsimple walks cancel in pairs.
+
+    Verifies that the all-walks C equals the simple-walks C canonically,
+    and that the number of nonsimple walks is even.
+    """
+    all_walks = enumerate_walks(b, simple_only=False)
+    simple = [w for w in all_walks if w.is_simple()]
+    if (len(all_walks) - len(simple)) % 2 != 0:
+        return False
+    zero = OperatorPolynomial.zero()
+    total_all = sum((walk_weight(w, b) for w in all_walks), zero)
+    total_simple = sum((walk_weight(w, b) for w in simple), zero)
+    return total_all == total_simple

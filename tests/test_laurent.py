@@ -7,6 +7,26 @@ laurents = st.dictionaries(
     st.integers(-6, 6), st.integers(-9, 9), max_size=6
 ).map(LaurentPolynomial)
 
+# factors for sum_of_products: negative exponents, negative coefficients,
+# coefficients beyond 2^64, and the zero polynomial (the empty dictionary)
+factors = st.dictionaries(
+    st.integers(-20, 20),
+    st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80)),
+    max_size=6,
+).map(LaurentPolynomial)
+row_lists = st.lists(st.lists(factors, max_size=4), max_size=5)
+
+
+def dict_sum_of_products(rows):
+    """The sum of the row products by dict-loop __mul__ and __add__."""
+    total = LaurentPolynomial.zero()
+    for row in rows:
+        value = LaurentPolynomial.one()
+        for f in row:
+            value = value * f
+        total = total + value
+    return total
+
 
 def test_zero_coefficients_dropped():
     p = LaurentPolynomial({0: 1, 3: 0, -2: 5})
@@ -85,3 +105,37 @@ def test_division_inverts_multiplication(a, b):
     if not b:
         return
     assert (a * b).exact_div(b) == a
+
+
+@given(row_lists)
+def test_sum_of_products_matches_dict_loop(rows):
+    assert LaurentPolynomial.sum_of_products(rows) == dict_sum_of_products(rows)
+
+
+@given(row_lists)
+def test_sum_of_products_cancels_to_zero(rows):
+    negated = [[LaurentPolynomial.term(0, -1), *row] for row in rows]
+    assert LaurentPolynomial.sum_of_products(rows + negated).is_zero()
+
+
+def test_sum_of_products_edge_cases():
+    one = LaurentPolynomial.one()
+    q = LaurentPolynomial.term(1)
+    zero = LaurentPolynomial.zero()
+    assert LaurentPolynomial.sum_of_products([]) == zero
+    assert LaurentPolynomial.sum_of_products([[]]) == one
+    assert LaurentPolynomial.sum_of_products([[q - one]]) == q - one
+    assert LaurentPolynomial.sum_of_products([[q, zero], [q]]) == q
+    assert LaurentPolynomial.sum_of_products([[q, one], [-q]]) == zero
+
+
+def test_sum_of_products_beyond_64_bit_slots():
+    # coefficients of (1 - q)^80 reach C(80, 40) > 2^76, and those near
+    # 2^70 multiply to about 2^141: a fixed 64-bit slot would overflow
+    one_minus_q = LaurentPolynomial.one() - LaurentPolynomial.term(1)
+    power = LaurentPolynomial.sum_of_products([[one_minus_q] * 80])
+    assert power == one_minus_q**80
+    assert max(abs(c) for _e, c in power.items()) > 2**76
+    big = LaurentPolynomial({-3: 2**70 - 1, 0: -(2**70), 5: 2**69 + 7})
+    rows = [[big, big], [big, -big, LaurentPolynomial.term(-2, 3)], [-big]]
+    assert LaurentPolynomial.sum_of_products(rows) == dict_sum_of_products(rows)

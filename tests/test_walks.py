@@ -6,7 +6,6 @@ from braidwalks import (
     LaurentPolynomial,
     NotAKnotError,
     OperatorPolynomial,
-    cancellation_pairing,
     enumerate_paths,
     enumerate_walks,
     evaluate_series,
@@ -16,8 +15,14 @@ from braidwalks import (
     walk_sum_C,
     walk_weight,
 )
+from braidwalks import walks
 from braidwalks.walks import _is_dead, _merge_keys, evaluate_polynomial
-from corpus_util import knot_closure_words, unpruned_series_terms
+from corpus_util import (
+    cancellation_pairing,
+    knot_closure_words,
+    reference_evaluate_polynomial,
+    unpruned_series_terms,
+)
 
 FIG8 = parse_braid("1 -2 1 -2", 3)
 ONE = LaurentPolynomial.one()
@@ -240,6 +245,29 @@ class TestSeries:
                     for t in C.terms:
                         assert _is_dead(_merge_keys(key, t)[0], N), (key, t)
         assert dead
+
+    @pytest.mark.parametrize(
+        "text,strands,N",
+        [("1 -2 3 -4 1 -2 3 -4", 5, 3), ("1 1 1 1 1 1 1", 2, 6)],
+    )
+    def test_packed_evaluation_matches_reference(
+        self, text, strands, N, monkeypatch
+    ):
+        # every pruned power series_terms evaluates, also by dict loop
+        b = parse_braid(text, strands)
+        powers = []
+
+        def recording(p, N):
+            powers.append(p)
+            return evaluate_polynomial(p, N)
+
+        monkeypatch.setattr(walks, "evaluate_polynomial", recording)
+        series_terms(walk_sum_C(b), N, (strands - 1) * (N - 1))
+        assert len(powers) > 1
+        for p in powers:
+            assert evaluate_polynomial(p, N) == reference_evaluate_polynomial(
+                p, N
+            )
 
     def test_zero_C_gives_one(self):
         b = parse_braid("1", 2)
