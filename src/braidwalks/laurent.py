@@ -152,10 +152,10 @@ class LaurentPolynomial:
         coefficient is a balanced base-2^B digit, in [-2^(B-1), 2^(B-1)).
         Such digits are unique: P(2^B) determines its lowest digit as the
         residue mod 2^B in that range, and the rest by induction.  So
-        reading one digit per exponent, from the lowest summed valuation to
-        the highest summed degree, returns P exactly, negative coefficients
-        included, and no slot can overflow.  A row holding the zero
-        polynomial is skipped; an empty row is the constant one.
+        reading one digit per exponent from the lowest summed valuation
+        (unpacked) returns P exactly, negative coefficients included, and no
+        slot can overflow.  A row holding the zero polynomial is skipped; an
+        empty row is the constant one.
         """
         rows = [row for row in rows if all(row)]
         if not rows:
@@ -163,23 +163,21 @@ class LaurentPolynomial:
         # Factors repeat across rows (E_N reuses each crossing's factor), so
         # each distinct object is measured and packed once; `rows` keeps
         # every factor alive, so no id is reused during the call.
-        stats: dict[int, tuple[int, int, int]] = {}  # id -> (l1 norm, val, deg)
+        stats: dict[int, tuple[int, int]] = {}  # id -> (l1 norm, valuation)
         bound = 0
-        lows, highs = [], []
+        lows = []
         for row in rows:
             norm = 1
-            val = deg = 0
+            val = 0
             for f in row:
                 s = stats.get(id(f))
                 if s is None:
                     t = f._terms
-                    s = stats[id(f)] = (sum(map(abs, t.values())), min(t), max(t))
+                    s = stats[id(f)] = (sum(map(abs, t.values())), min(t))
                 norm *= s[0]
                 val += s[1]
-                deg += s[2]
             bound += norm
             lows.append(val)
-            highs.append(deg)
         low = min(lows)
         B = bound.bit_length() + 1
         packs: dict[int, int] = {}
@@ -189,23 +187,39 @@ class LaurentPolynomial:
             for f in row:
                 p = packs.get(id(f))
                 if p is None:
-                    v = stats[id(f)][1]
-                    p = packs[id(f)] = sum(
-                        c << (B * (e - v)) for e, c in f._terms.items()
-                    )
+                    p = packs[id(f)] = f.packed(B)[1]
                 product *= p
             packed += product << (B * (val - low))
+        return cls.unpacked(packed, B, low)
+
+    def packed(self, B: int) -> tuple[int, int]:
+        """(v, P(2^B)) for self = q^v * P with v the valuation: the
+        Kronecker form sum_of_products and the power loop of
+        walks.series_terms compute with.  The zero polynomial gives (0, 0)."""
+        if not self._terms:
+            return 0, 0
+        v = min(self._terms)
+        return v, sum(c << (B * (e - v)) for e, c in self._terms.items())
+
+    @classmethod
+    def unpacked(cls, value: int, B: int, low: int) -> "LaurentPolynomial":
+        """q^low * P for the P with P(2^B) = value whose coefficients lie in
+        [-2^(B-1), 2^(B-1)): value is read as balanced base-2^B digits, the
+        lowest first.  Such digits are unique, so the caller's bound on the
+        coefficients makes the result exact."""
         out: dict[int, int] = {}
         mask = (1 << B) - 1
         half = 1 << (B - 1)
-        for e in range(low, max(highs) + 1):
-            digit = packed & mask
-            packed >>= B
+        e = low
+        while value:
+            digit = value & mask
+            value >>= B
             if digit >= half:
                 digit -= 1 << B
-                packed += 1
+                value += 1
             if digit:
                 out[e] = digit
+            e += 1
         result = cls.__new__(cls)
         result._terms = out
         return result

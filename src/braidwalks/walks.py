@@ -276,6 +276,21 @@ class OperatorPolynomial:
         return dump
 
 
+# (alpha, beta, gamma) per sign: the q-exponents of c b = q^alpha b c,
+# a b = q^beta b a and a c = q^gamma c a, all the product shift of two keys
+# reads; _merge_keys and the packed power loop of series_terms both use it.
+_MERGE_EXP = {
+    sign: (swap[("c", "b")], swap[("a", "b")], swap[("a", "c")])
+    for sign, swap in _SWAP_EXP.items()
+}
+# the largest |alpha| and |beta| + |gamma|: a term of C with fields at most M
+# has |alpha s| and |beta s + gamma r| at most _MERGE_EXP_BOUND * M
+_MERGE_EXP_BOUND = max(
+    max(abs(alpha), abs(beta) + abs(gamma))
+    for alpha, beta, gamma in _MERGE_EXP.values()
+)
+
+
 @lru_cache(maxsize=1 << 18)
 def _merge_keys(k1: CanonicalKey, k2: CanonicalKey) -> tuple[CanonicalKey, int]:
     """Merge two canonical keys (left operand first); returns (key, q-shift)."""
@@ -296,12 +311,8 @@ def _merge_keys(k1: CanonicalKey, k2: CanonicalKey) -> tuple[CanonicalKey, int]:
             _, sign2, s2, r2, d2 = e2
             if sign2 != sign:
                 raise ValueError(f"sign mismatch at crossing {j}")
-            swap = _SWAP_EXP[sign]
-            shift += (
-                r1 * s2 * swap[("c", "b")]
-                + d1 * s2 * swap[("a", "b")]
-                + d1 * r2 * swap[("a", "c")]
-            )
+            alpha, beta, gamma = _MERGE_EXP[sign]
+            shift += r1 * alpha * s2 + d1 * (beta * s2 + gamma * r2)
             out.append((j, sign, s1 + s2, r1 + r2, d1 + d2))
             i1 += 1
             i2 += 1
@@ -408,15 +419,115 @@ def series_terms(
     pruned power is exactly the live part of C^n, and E_N of it is
     E_N(C^n).  The (m-1)(N-1) truncation of evaluate_series is the case of
     a gap-k cell used N times.
+
+    The powers stay packed from one product to the next (Kronecker
+    substitution, Harvey, arXiv:0712.4046); each surviving key is decoded
+    once per power, for the prune and for evaluate_polynomial.  The product
+    is the one op_mul computes, key by key: with M the largest field of C,
+    every field of a pruned C^n is at most n*M, since a product adds fields
+    and the prune only removes keys.
+
+    Keys.  C has L slots, one per (crossing, sign) it uses, and a key is
+    one integer holding s, r and d of each slot in fields of
+    W = (n_max*M).bit_length() bits.  A field of C^n for n <= n_max is
+    below 2^W, so the key of a product is the sum of the two keys, with no
+    carry.  A canonical entry is never all zero, so a nonzero slot marks an
+    entry and the encoding is one-to-one.  Two slots on one crossing would
+    meet in C^2, so they raise as op_mul does.
+
+    Shift.  The q-shift of _merge_keys is the sum over slots of
+    r1*(alpha s2) + d1*(beta s2 + gamma r2), a dot product of the (r, d)
+    vector x of the left key, entries at most n_max*M, with the vector y
+    of the term of C, whose entries are at most E*M in absolute value
+    (E = _MERGE_EXP_BOUND).  x is packed in ascending order and y + E*M,
+    whose entries lie in [0, 2E*M], in descending order, both at 2^V with
+    V = (2L * n_max*M * 2E*M).bit_length().  Each coefficient of the
+    product of the two integers sums at most 2L products of entries, so it
+    is below 2^V and no digit carries: the digit at 2^(V(2L-1)) is exactly
+    x.(y + E*M), and the shift is that minus E*M * sum(x).
+
+    Coefficients.  Each coefficient q^v * P(q) is kept as (v, P(2^B)) with
+    B = (||C||_1^n_max).bit_length() + 1, ||.||_1 the sum of the absolute
+    coefficients over all terms.  The value at 2^B is a ring homomorphism,
+    so products and sums, realigned to the lower v when two meet at a key,
+    are exact whatever their size.  ||C^n||_1 <= ||C||_1^n, as
+    ||f g||_1 <= ||f||_1 ||g||_1 and the prune only removes keys, so every
+    coefficient of a pruned C^n lies below 2^(B-1), and the balanced
+    base-2^B digits of LaurentPolynomial.unpacked return it exactly; a
+    packed zero is the zero polynomial, so cancelled keys are dropped.
     """
     terms = [LaurentPolynomial.one()]
-    power = OperatorPolynomial.one()
+    slots = sorted({(j, sign) for key in C._terms for j, sign, *_ in key})
+    if n_max >= 2:
+        for (j, _), (j2, _) in zip(slots, slots[1:]):
+            if j == j2:
+                raise ValueError(f"sign mismatch at crossing {j}")
+    L = len(slots)
+    M = max((max(e[2:]) for key in C._terms for e in key), default=0)
+    W = (n_max * M).bit_length()
+    off = _MERGE_EXP_BOUND * M
+    V = (2 * L * n_max * M * 2 * off).bit_length()
+    norm = sum(abs(c) for coeff in C._terms.values() for _e, c in coeff.items())
+    B = (norm**n_max).bit_length() + 1
+    top, digit_mask = V * (2 * L - 1), (1 << V) - 1
+    field_mask, slot_mask = (1 << W) - 1, (1 << 3 * W) - 1
+
+    index = {slot: i for i, slot in enumerate(slots)}
+    offsets = sum(off << V * k for k in range(2 * L))
+    factors = []  # (key, valuation, packed coefficient, packed y + E*M)
+    for key, coeff in C._terms.items():
+        K, Y = 0, offsets
+        for j, sign, s, r, d in key:
+            i = index[j, sign]
+            alpha, beta, gamma = _MERGE_EXP[sign]
+            K |= (s | r << W | d << 2 * W) << 3 * W * i
+            Y += (alpha * s) << V * (2 * L - 1 - 2 * i)
+            Y += (beta * s + gamma * r) << V * (2 * L - 2 - 2 * i)
+        factors.append((K, *coeff.packed(B), Y))
+
+    # key -> (valuation - E*M * sum(x), packed coefficient, packed x)
+    power = {0: (0, 1, 0)}
     for _ in range(n_max):
-        power = op_mul(power, C)
-        power = OperatorPolynomial(
-            {k: c for k, c in power._terms.items() if not _is_dead(k, N)}
-        )
-        terms.append(evaluate_polynomial(power, N))
+        product: dict[int, tuple[int, int]] = {}
+        for K1, (v1, c1, X1) in power.items():
+            for K2, v2, c2, Y2 in factors:
+                K = K1 + K2
+                v = v1 + v2 + (X1 * Y2 >> top & digit_mask)
+                c = c1 * c2
+                prev = product.get(K)
+                if prev is not None:
+                    pv, pc = prev
+                    if pv <= v:
+                        v, c = pv, pc + (c << B * (v - pv))
+                    else:
+                        c += pc << B * (pv - v)
+                product[K] = (v, c)
+        power = {}
+        live: dict[CanonicalKey, LaurentPolynomial] = {}
+        for K, (v, c) in product.items():
+            if not c:
+                continue
+            entries = []
+            X = xsum = 0
+            rest = K
+            for i, (j, sign) in enumerate(slots):
+                if not rest:
+                    break
+                f = rest & slot_mask
+                rest >>= 3 * W
+                if f:
+                    r, d = f >> W & field_mask, f >> 2 * W
+                    entries.append((j, sign, f & field_mask, r, d))
+                    X |= r << V * 2 * i | d << V * (2 * i + 1)
+                    xsum += r + d
+            key = tuple(entries)
+            if _is_dead(key, N):
+                continue
+            live[key] = LaurentPolynomial.unpacked(c, B, v)
+            power[K] = (v - off * xsum, c, X)
+        p = OperatorPolynomial.__new__(OperatorPolynomial)
+        p._terms = live
+        terms.append(evaluate_polynomial(p, N))
         if not power:
             terms.extend(
                 LaurentPolynomial.zero() for _ in range(n_max - len(terms) + 1)

@@ -15,6 +15,7 @@ from braidwalks import (
     walk_weight,
 )
 from braidwalks.qops import _eval_base
+from braidwalks.walks import _is_dead
 
 
 def knot_closure_words(max_strands: int = 4, max_length: int = 6) -> list[BraidWord]:
@@ -62,6 +63,33 @@ def unpruned_series_terms(
     for _ in range(n_max):
         power = op_mul(power, C)
         terms.append(reference_evaluate_polynomial(power, N))
+    return terms
+
+
+def reference_series_terms(
+    C: OperatorPolynomial, N: int, n_max: int, powers: list | None = None
+) -> list[LaurentPolynomial]:
+    """[E_N(C^0), ..., E_N(C^n_max)] by the dict-loop power loop: op_mul,
+    then the _is_dead prune, then reference_evaluate_polynomial.
+
+    The reference the packed power loop of series_terms is compared
+    against; each pruned power is appended to `powers` when it is given.
+    """
+    terms = [LaurentPolynomial.one()]
+    power = OperatorPolynomial.one()
+    for _ in range(n_max):
+        power = op_mul(power, C)
+        power = OperatorPolynomial(
+            {k: c for k, c in power.terms.items() if not _is_dead(k, N)}
+        )
+        if powers is not None:
+            powers.append(power)
+        terms.append(reference_evaluate_polynomial(power, N))
+        if not power:
+            terms.extend(
+                LaurentPolynomial.zero() for _ in range(n_max - len(terms) + 1)
+            )
+            break
     return terms
 
 

@@ -139,3 +139,12 @@ def test_sum_of_products_beyond_64_bit_slots():
     big = LaurentPolynomial({-3: 2**70 - 1, 0: -(2**70), 5: 2**69 + 7})
     rows = [[big, big], [big, -big, LaurentPolynomial.term(-2, 3)], [-big]]
     assert LaurentPolynomial.sum_of_products(rows) == dict_sum_of_products(rows)
+
+
+@given(factors, st.integers(0, 8))
+def test_packed_round_trip(f, extra):
+    # any B with every coefficient below 2^(B-1) reads the digits back
+    B = max((abs(c).bit_length() for _e, c in f.items()), default=0) + 1 + extra
+    v, value = f.packed(B)
+    assert LaurentPolynomial.unpacked(value, B, v) == f
+    assert LaurentPolynomial.unpacked(value << B, B, v - 1) == f

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidwalks import (
     BraidWord,
@@ -21,12 +22,37 @@ from corpus_util import (
     cancellation_pairing,
     knot_closure_words,
     reference_evaluate_polynomial,
+    reference_series_terms,
     unpruned_series_terms,
 )
 
 FIG8 = parse_braid("1 -2 1 -2", 3)
 ONE = LaurentPolynomial.one()
 Q = LaurentPolynomial.term(1)
+
+
+def recorded_series_terms(C, N, n_max):
+    """series_terms(C, N, n_max) and the pruned powers it evaluated."""
+    powers = []
+
+    def recording(p, N):
+        powers.append(p)
+        return evaluate_polynomial(p, N)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "evaluate_polynomial", recording)
+        terms = series_terms(C, N, n_max)
+    return terms, powers
+
+
+def assert_matches_reference(C, N, n_max):
+    """The packed power loop equals the dict-loop reference, power by
+    power; returns the pruned powers."""
+    terms, powers = recorded_series_terms(C, N, n_max)
+    expected = []
+    assert terms == reference_series_terms(C, N, n_max, expected)
+    assert powers == expected
+    return powers
 
 
 def fig8_walks():
@@ -250,19 +276,12 @@ class TestSeries:
         "text,strands,N",
         [("1 -2 3 -4 1 -2 3 -4", 5, 3), ("1 1 1 1 1 1 1", 2, 6)],
     )
-    def test_packed_evaluation_matches_reference(
-        self, text, strands, N, monkeypatch
-    ):
+    def test_packed_evaluation_matches_reference(self, text, strands, N):
         # every pruned power series_terms evaluates, also by dict loop
         b = parse_braid(text, strands)
-        powers = []
-
-        def recording(p, N):
-            powers.append(p)
-            return evaluate_polynomial(p, N)
-
-        monkeypatch.setattr(walks, "evaluate_polynomial", recording)
-        series_terms(walk_sum_C(b), N, (strands - 1) * (N - 1))
+        _, powers = recorded_series_terms(
+            walk_sum_C(b), N, (strands - 1) * (N - 1)
+        )
         assert len(powers) > 1
         for p in powers:
             assert evaluate_polynomial(p, N) == reference_evaluate_polynomial(
@@ -277,6 +296,135 @@ class TestSeries:
         hopf = parse_braid("1 1", 2)
         with pytest.raises(NotAKnotError):
             evaluate_series(walk_sum_C(hopf), hopf, 2)
+
+
+@st.composite
+def synthetic_C(draw):
+    """An operator polynomial with canonical keys on 1-6 slots, one sign per
+    crossing, fields 0-4 and coefficients of up to three terms up to 2^70
+    in size.
+
+    Random terms almost never cancel in a product, so half the draws build
+    a cancellation into C^2: D, the terms with nonempty keys doubled, plus
+    the constant 1 and a term at the key K of some product x y whose
+    coefficient is -[D'^2]_K / 2, D' being D without its term at K.  K is
+    reached only by pairs from D' and by that term times 1 on either side,
+    so the coefficient of C^2 at K is zero.
+    """
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=6))
+    big = st.sampled_from((1, 2, 3, 2**40 + 1, 2**70))
+    coeff = st.dictionaries(
+        st.integers(-3, 3),
+        st.builds(lambda m, neg: -m if neg else m, big, st.booleans()),
+        min_size=1,
+        max_size=3,
+    ).map(LaurentPolynomial)
+    entry = st.tuples(
+        st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)
+    ).filter(any)
+    C = OperatorPolynomial.zero()
+    for _ in range(draw(st.integers(1, 5))):
+        used = draw(st.sets(st.integers(1, len(signs))))
+        key = tuple(
+            (j, signs[j - 1], *draw(entry)) for j in sorted(used)
+        )
+        C = C + OperatorPolynomial({key: draw(coeff)})
+    if draw(st.booleans()):
+        D = {k: c * 2 for k, c in C.terms.items() if k}
+        if D:
+            keys = sorted(D)
+            x, y = draw(st.sampled_from(keys)), draw(st.sampled_from(keys))
+            K = _merge_keys(x, y)[0]
+            D.pop(K, None)
+            D_sq = op_mul(OperatorPolynomial(D), OperatorPolynomial(D)).terms
+            at_K = D_sq.get(K, LaurentPolynomial.zero())
+            D[K] = LaurentPolynomial({e: -c // 2 for e, c in at_K.items()})
+            D[()] = ONE
+            C = OperatorPolynomial(D)
+    return C
+
+
+def term(key, coeff):
+    return OperatorPolynomial({key: LaurentPolynomial(coeff)})
+
+
+class TestPackedPowers:
+    """The packed power loop of series_terms against the dict-loop
+    reference_series_terms, power by power."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(synthetic_C(), st.integers(2, 5), st.integers(0, 6))
+    def test_matches_reference(self, C, N, n_max):
+        assert_matches_reference(C, N, n_max)
+
+    def test_knot_C(self):
+        for text, strands, N in [
+            ("1 -2 3 -4 1 -2 3 -4", 5, 4),
+            ("1 2 3 1 2 3 1 2 3", 4, 4),
+            ("1 -2 1 -2", 3, 5),
+        ]:
+            C = walk_sum_C(parse_braid(text, strands))
+            assert_matches_reference(C, N, (strands - 1) * (N - 1))
+
+    def test_coefficients_beyond_64_bits(self):
+        # ||C||_1^n_max far above 2^64, and coefficients of the powers too
+        C = walk_sum_C(FIG8).scaled(LaurentPolynomial({0: 2**40, 1: -3}))
+        powers = assert_matches_reference(C, 5, 8)
+        assert max(
+            abs(c)
+            for p in powers
+            for coeff in p.terms.values()
+            for _e, c in coeff.items()
+        ) > 2**64
+
+    def test_field_sums_need_n_max_bits(self):
+        # fields 4 of C fit in 3 bits, the 8 and 12 of C^2 and C^3 do not
+        C = term(((1, 1, 4, 0, 0), (2, -1, 0, 4, 0)), {0: 1}) + term(
+            ((1, 1, 0, 0, 4),), {1: -1}
+        )
+        powers = assert_matches_reference(C, 5, 3)
+        assert ((1, 1, 8, 0, 0), (2, -1, 0, 8, 0)) in powers[1].terms
+
+    def test_shift_digits_need_2L(self):
+        # six slots with r = 20 in C^5 against y + 3M = 20 each: the shift
+        # digit reaches 6 * 20 * 20 = 2400, above the 2^10 that n_max*M*6M
+        # alone would allow; d = 0 keeps every key alive
+        C = term(tuple((j, -1, 4, 4, 0) for j in range(1, 7)), {0: 1})
+        powers = assert_matches_reference(C, 5, 6)
+        assert len(powers[5]) == 1
+
+    def test_empty_key_term(self):
+        C = term((), {0: 2, 1: -1}) + term(((1, -1, 0, 1, 2),), {1: 1})
+        powers = assert_matches_reference(C, 4, 4)
+        assert () in powers[3].terms
+
+    def test_cancelling_key(self):
+        # C^2 at key s = r = 1: x y + y x + e z + z e
+        # = 2^70 (q^-2 + 1) - 2^70 (q^-2 + 1) = 0
+        x = term(((1, 1, 0, 1, 0),), {0: 2**70})
+        y = term(((1, 1, 1, 0, 0),), {0: 1})
+        z = term(((1, 1, 1, 1, 0),), {-2: -(2**69), 0: -(2**69)})
+        C = x + y + z + term((), {0: 1})
+        powers = assert_matches_reference(C, 5, 2)
+        assert ((1, 1, 1, 1, 0),) not in powers[1].terms
+        assert ((1, 1, 1, 1, 0),) in op_mul(x + y, x + y).terms
+
+    def test_zero_C(self):
+        zero = OperatorPolynomial.zero()
+        for n_max in (0, 1, 3):
+            assert series_terms(zero, 2, n_max) == [ONE] + [
+                LaurentPolynomial.zero()
+            ] * n_max
+            assert_matches_reference(zero, 2, n_max)
+
+    def test_sign_mismatch(self):
+        C = term(((1, 1, 1, 0, 0),), {0: 1}) + term(((1, -1, 0, 1, 0),), {0: 1})
+        with pytest.raises(ValueError, match="sign mismatch at crossing 1"):
+            op_mul(C, C)
+        with pytest.raises(ValueError, match="sign mismatch at crossing 1"):
+            series_terms(C, 3, 2)
+        # C^1 multiplies nothing at one crossing
+        assert_matches_reference(C, 3, 1)
 
 
 class TestCancellation:
