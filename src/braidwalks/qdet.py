@@ -65,6 +65,13 @@ def _letter(j: int, sign: int, letter: str) -> OperatorPolynomial:
     )
 
 
+def _block(j: int, sign: int) -> tuple[tuple[OperatorPolynomial, ...], ...]:
+    """S_+ = (a b; c 0) or S_- = (0 c; b a), letters tagged with crossing j."""
+    a, b, c = (_letter(j, sign, x) for x in "abc")
+    zero = OperatorPolynomial.zero()
+    return ((a, b), (c, zero)) if sign > 0 else ((zero, c), (b, a))
+
+
 def local_matrix(j: int, sign: int, l: int, m: int) -> OperatorMatrix:
     """Identity with the 2x2 block at rows/cols (l, l+1) replaced by S_sign.
 
@@ -72,11 +79,7 @@ def local_matrix(j: int, sign: int, l: int, m: int) -> OperatorMatrix:
     """
     if m < 2 or not 1 <= l <= m - 1:
         raise ValueError(f"generator position {l} out of range for {m} strands")
-    a = _letter(j, sign, "a")
-    b = _letter(j, sign, "b")
-    c = _letter(j, sign, "c")
-    zero = OperatorPolynomial.zero()
-    block = ((a, b), (c, zero)) if sign > 0 else ((zero, c), (b, a))
+    block = _block(j, sign)
     rows = [list(row) for row in identity_matrix(m).entries]
     for di in range(2):
         for dj in range(2):
@@ -84,47 +87,47 @@ def local_matrix(j: int, sign: int, l: int, m: int) -> OperatorMatrix:
     return OperatorMatrix(tuple(tuple(row) for row in rows))
 
 
-def mat_mul(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
-    if A.dim != B.dim:
-        raise ValueError("dimension mismatch")
-    n = A.dim
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            total = OperatorPolynomial.zero()
-            for t in range(n):
-                left = A.entries[i][t]
-                right = B.entries[t][j]
-                if left and right:
-                    total = total + op_mul(left, right)
-            row.append(total)
-        rows.append(tuple(row))
-    return OperatorMatrix(tuple(rows))
-
-
 def rho(b: BraidWord) -> OperatorMatrix:
     """Ordered product of the local matrices, first letter leftmost.
 
     Entry (i, j) equals the sum of the weights of the paths from j to i.
+    Right-multiplying by the local matrix at (l, l+1) recomputes only
+    columns l and l+1, as the old pair of columns times the 2x2 block; the
+    identity outside the block keeps every other column as it is.
     """
-    result = identity_matrix(b.strands)
+    m = b.strands
+    cols = [list(col) for col in identity_matrix(m).entries]  # symmetric
+    zero = OperatorPolynomial.zero()
     for j, (l, sign) in enumerate(b.letters, start=1):
-        result = mat_mul(result, local_matrix(j, sign, l, b.strands))
-    return result
+        block = _block(j, sign)
+        left, right = cols[l - 1], cols[l]
+        for k in range(2):
+            top, bottom = block[0][k], block[1][k]
+            col = []
+            for x, y in zip(left, right):
+                total = zero
+                if x and top:
+                    total = total + op_mul(x, top)
+                if y and bottom:
+                    total = total + op_mul(y, bottom)
+                col.append(total)
+            cols[l - 1 + k] = col
+    return OperatorMatrix(tuple(zip(*cols)))
 
 
 def det_q(A: OperatorMatrix) -> OperatorPolynomial:
     """Quantum determinant: sum over permutations of (-q)^inv times the
     column-ascending product of entries."""
     n = A.dim
+    if n == 0:
+        return OperatorPolynomial.one()
     total = OperatorPolynomial.zero()
     for perm in permutations(range(n)):
-        prod = OperatorPolynomial.one()
-        for col in range(n):
-            prod = op_mul(prod, A.entries[perm[col]][col])
+        prod = A.entries[perm[0]][0]
+        for col in range(1, n):
             if not prod:
                 break
+            prod = op_mul(prod, A.entries[perm[col]][col])
         if not prod:
             continue
         inv = inversions(perm)

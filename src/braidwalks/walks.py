@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Mapping
 
 from .braid import BraidWord, DiagramCell, NotAKnotError, is_knot_closure
@@ -152,30 +152,49 @@ class Walk:
 def enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
     """All walks with nonempty J contained in {2, ..., m}.
 
+    The walks come by size of J, then J, then the permutation of J, and
+    within one (J, ends) pair in the order of the product of its path pools,
+    the pool of the last start varying fastest.  The paths are chosen start
+    by start, depth first.  With simple_only a path whose cells meet those
+    of the paths already chosen is skipped, and with it every completion of
+    that choice; a choice is simple exactly when no path meets an earlier
+    one, so this keeps the walks that Walk.is_simple keeps, in the same
+    order, and builds a Walk only for a complete choice.  The recursion is
+    one level per start, at most m - 1 deep.
+
     The empty braid word is excluded by convention; its series is the
     constant 1 (unknot normalization).
     """
     m = b.strands
     if len(b) == 0 or m < 2:
         return []
-    by_pair: dict[tuple[int, int], list[Path]] = {}
+    by_pair: dict[tuple[int, int], list[tuple[Path, frozenset[DiagramCell]]]] = {}
     for j in range(2, m + 1):
         for path in enumerate_paths(b, j):
             if path.end >= 2:
-                by_pair.setdefault((j, path.end), []).append(path)
+                by_pair.setdefault((j, path.end), []).append((path, path.cells()))
     walks: list[Walk] = []
+    chosen: list[Path] = []
+
+    def extend(pools, used: frozenset[DiagramCell]) -> None:
+        last = len(pools) == 1
+        for path, cells in pools[0]:
+            if simple_only and not used.isdisjoint(cells):
+                continue
+            chosen.append(path)
+            if last:
+                walks.append(Walk(tuple(chosen)))
+            else:
+                extend(pools[1:], used | cells if simple_only else used)
+            chosen.pop()
+
     candidates = range(2, m + 1)
     for size in range(1, m):
         for J in combinations(candidates, size):
             for ends in permutations(J):
                 pools = [by_pair.get(pair, []) for pair in zip(J, ends)]
-                if not all(pools):
-                    continue
-                for combo in product(*pools):
-                    walk = Walk(tuple(combo))
-                    if simple_only and not walk.is_simple():
-                        continue
-                    walks.append(walk)
+                if all(pools):
+                    extend(pools, frozenset())
     return walks
 
 
@@ -291,9 +310,20 @@ _MERGE_EXP_BOUND = max(
 )
 
 
-@lru_cache(maxsize=1 << 18)
+# bounded like _eval_base, so a long-lived process does not grow with every
+# key pair it has merged; most merges of C_qdet are seen only once
+@lru_cache(maxsize=1 << 12)
 def _merge_keys(k1: CanonicalKey, k2: CanonicalKey) -> tuple[CanonicalKey, int]:
-    """Merge two canonical keys (left operand first); returns (key, q-shift)."""
+    """Merge two canonical keys (left operand first); returns (key, q-shift).
+
+    When the crossings of one key all come before those of the other, no
+    crossing is shared, so the merge is the concatenation in crossing order
+    with shift 0; every letter product of rho is of this kind.
+    """
+    if not k1 or not k2 or k1[-1][0] < k2[0][0]:
+        return k1 + k2, 0
+    if k2[-1][0] < k1[0][0]:
+        return k2 + k1, 0
     out = []
     shift = 0
     i1 = i2 = 0
@@ -339,32 +369,49 @@ def op_mul(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomial:
     return result
 
 
+def _walk_term(walk: Walk, b: BraidWord) -> tuple[CanonicalKey, LaurentPolynomial]:
+    """The key and coefficient of walk_weight(walk, b).
+
+    A path picks up at most one letter per crossing, so its letters give a
+    canonical key directly, one entry per crossing.  At each crossing the
+    walk's word is the concatenation of its paths' letters in ascending
+    start order, and the canonical term of a concatenation is the product
+    of the canonical terms of its parts (op_mul(from_words(u), from_words(v))
+    is from_words(u + v)); a crossing only one path meets adds no shift.  So
+    the weight is the product of the path keys in ascending start order,
+    folded through _merge_keys.
+    """
+    e = len(walk.paths) + walk.inversions()
+    sign = (-1) ** (e + 1)
+    key: CanonicalKey = ()
+    for path in walk.paths:
+        path_key = tuple(
+            (j, b.letters[j - 1][1], int(x == "b"), int(x == "c"), int(x == "a"))
+            for j, x in path.letters
+        )
+        key, shift = _merge_keys(key, path_key)
+        e += shift
+    return key, LaurentPolynomial.term(e, sign)
+
+
 def walk_weight(walk: Walk, b: BraidWord) -> OperatorPolynomial:
     """The weight (-1)(-q)^(|J| + inv) times the ordered path letters.
 
     At each crossing the letters of the paths are appended in ascending
     start order, leftmost path first; the result is a one-term polynomial.
     """
-    e = len(walk.paths) + walk.inversions()
-    letters: dict[int, list[str]] = {}
-    for path in walk.paths:
-        for j, letter in path.letters:
-            letters.setdefault(j, []).append(letter)
-    words = {
-        j: CrossingWord(b.crossing(j)[1], "".join(parts))
-        for j, parts in letters.items()
-    }
-    return OperatorPolynomial.from_words(
-        LaurentPolynomial.term(e, (-1) ** (e + 1)), words
-    )
+    key, coeff = _walk_term(walk, b)
+    return OperatorPolynomial({key: coeff})
 
 
 def walk_sum_C(b: BraidWord, simple_only: bool = True) -> OperatorPolynomial:
     """The polynomial C: sum of the weights of walks with J in {2..m}."""
-    total = OperatorPolynomial.zero()
+    out: dict[CanonicalKey, LaurentPolynomial] = {}
     for walk in enumerate_walks(b, simple_only):
-        total = total + walk_weight(walk, b)
-    return total
+        key, c = _walk_term(walk, b)
+        n = out.get(key)
+        out[key] = c if n is None else n + c
+    return OperatorPolynomial(out)
 
 
 def evaluate_polynomial(p: OperatorPolynomial, N: int) -> LaurentPolynomial:

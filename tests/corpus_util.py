@@ -7,15 +7,40 @@ import random
 
 from braidwalks import (
     BraidWord,
+    CrossingWord,
     LaurentPolynomial,
+    OperatorMatrix,
     OperatorPolynomial,
+    Walk,
+    enumerate_paths,
     enumerate_walks,
     is_knot_closure,
+    local_matrix,
     op_mul,
     walk_weight,
 )
+from braidwalks.qdet import identity_matrix
 from braidwalks.qops import _eval_base
-from braidwalks.walks import _is_dead
+from braidwalks.walks import _MERGE_EXP, CanonicalKey, _is_dead
+
+
+def random_knot_words(
+    count: int, strands: tuple[int, ...], lengths: tuple[int, int], seed: int
+) -> list[BraidWord]:
+    """Random braid words with both signs and knot closure (deterministic):
+    strands drawn from `strands`, lengths from the closed range `lengths`."""
+    rng = random.Random(seed)
+    out: list[BraidWord] = []
+    while len(out) < count:
+        m = rng.choice(strands)
+        length = rng.randint(*lengths)
+        letters = tuple(
+            (rng.randint(1, m - 1), rng.choice((1, -1))) for _ in range(length)
+        )
+        b = BraidWord(m, letters)
+        if is_knot_closure(b):
+            out.append(b)
+    return out
 
 
 def knot_closure_words(max_strands: int = 4, max_length: int = 6) -> list[BraidWord]:
@@ -31,6 +56,14 @@ def knot_closure_words(max_strands: int = 4, max_length: int = 6) -> list[BraidW
                 if is_knot_closure(b):
                     out.append(b)
     return out
+
+
+def differential_words() -> list[BraidWord]:
+    """The words the C-construction references are compared on: every 10th
+    corpus word, and 20 seeded 3- and 4-strand words of 9-20 crossings."""
+    return knot_closure_words()[::10] + random_knot_words(
+        20, (3, 4), (9, 20), seed=2024
+    )
 
 
 def random_positive_knot_words(
@@ -125,3 +158,110 @@ def cancellation_pairing(b: BraidWord) -> bool:
     total_all = sum((walk_weight(w, b) for w in all_walks), zero)
     total_simple = sum((walk_weight(w, b) for w in simple), zero)
     return total_all == total_simple
+
+
+def reference_enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
+    """enumerate_walks by building every candidate walk, the product of its
+    path pools, and filtering with Walk.is_simple: the reference the
+    depth-first search of enumerate_walks is compared against."""
+    m = b.strands
+    if len(b) == 0 or m < 2:
+        return []
+    by_pair: dict[tuple[int, int], list] = {}
+    for j in range(2, m + 1):
+        for path in enumerate_paths(b, j):
+            if path.end >= 2:
+                by_pair.setdefault((j, path.end), []).append(path)
+    walks: list[Walk] = []
+    candidates = range(2, m + 1)
+    for size in range(1, m):
+        for J in itertools.combinations(candidates, size):
+            for ends in itertools.permutations(J):
+                pools = [by_pair.get(pair, []) for pair in zip(J, ends)]
+                if not all(pools):
+                    continue
+                for combo in itertools.product(*pools):
+                    walk = Walk(tuple(combo))
+                    if simple_only and not walk.is_simple():
+                        continue
+                    walks.append(walk)
+    return walks
+
+
+def reference_walk_weight(walk: Walk, b: BraidWord) -> OperatorPolynomial:
+    """walk_weight by normal ordering each crossing's whole word: the letters
+    of the walk's paths at each crossing, in ascending start order, go into
+    one CrossingWord and through OperatorPolynomial.from_words."""
+    e = len(walk.paths) + walk.inversions()
+    letters: dict[int, list[str]] = {}
+    for path in walk.paths:
+        for j, letter in path.letters:
+            letters.setdefault(j, []).append(letter)
+    words = {
+        j: CrossingWord(b.crossing(j)[1], "".join(parts))
+        for j, parts in letters.items()
+    }
+    return OperatorPolynomial.from_words(
+        LaurentPolynomial.term(e, (-1) ** (e + 1)), words
+    )
+
+
+def mat_mul(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
+    """The full product of two operator matrices, every entry a sum over
+    every inner index."""
+    if A.dim != B.dim:
+        raise ValueError("dimension mismatch")
+    n = A.dim
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            total = OperatorPolynomial.zero()
+            for t in range(n):
+                left = A.entries[i][t]
+                right = B.entries[t][j]
+                if left and right:
+                    total = total + op_mul(left, right)
+            row.append(total)
+        rows.append(tuple(row))
+    return OperatorMatrix(tuple(rows))
+
+
+def reference_rho(b: BraidWord) -> OperatorMatrix:
+    """rho as the mat_mul fold of the full local matrices: the reference the
+    two-column update of rho is compared against."""
+    result = identity_matrix(b.strands)
+    for j, (l, sign) in enumerate(b.letters, start=1):
+        result = mat_mul(result, local_matrix(j, sign, l, b.strands))
+    return result
+
+
+def reference_merge_keys(
+    k1: CanonicalKey, k2: CanonicalKey
+) -> tuple[CanonicalKey, int]:
+    """_merge_keys without its disjoint-range shortcut: the merge loop over
+    both keys, whatever their ranges."""
+    out = []
+    shift = 0
+    i1 = i2 = 0
+    while i1 < len(k1) and i2 < len(k2):
+        e1, e2 = k1[i1], k2[i2]
+        if e1[0] < e2[0]:
+            out.append(e1)
+            i1 += 1
+        elif e1[0] > e2[0]:
+            out.append(e2)
+            i2 += 1
+        else:
+            j, sign, s1, r1, d1 = e1
+            _, sign2, s2, r2, d2 = e2
+            if sign2 != sign:
+                raise ValueError(f"sign mismatch at crossing {j}")
+            alpha, beta, gamma = _MERGE_EXP[sign]
+            shift += r1 * alpha * s2 + d1 * (beta * s2 + gamma * r2)
+            out.append((j, sign, s1 + s2, r1 + r2, d1 + d2))
+            i1 += 1
+            i2 += 1
+    out.extend(k1[i1:])
+    out.extend(k2[i2:])
+    return tuple(out), shift

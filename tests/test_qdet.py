@@ -19,6 +19,7 @@ from braidwalks import (
     walk_weight,
 )
 from braidwalks.qdet import identity_matrix
+from corpus_util import differential_words, reference_rho
 
 FIG8 = parse_braid("1 -2 1 -2", 3)
 ONE = LaurentPolynomial.one()
@@ -79,6 +80,11 @@ class TestRho:
             for end in range(1, strands + 1):
                 expected = by_end.get(end, OperatorPolynomial.zero())
                 assert M[end - 1, start - 1] == expected
+
+    def test_matches_full_matrix_products(self):
+        # the two-column update against the fold of full local matrices
+        for b in differential_words():
+            assert rho(b) == reference_rho(b), b.serialize()
 
 
 class TestDetQ:

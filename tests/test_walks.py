@@ -20,9 +20,13 @@ from braidwalks import walks
 from braidwalks.walks import _is_dead, _merge_keys, evaluate_polynomial
 from corpus_util import (
     cancellation_pairing,
+    differential_words,
     knot_closure_words,
+    reference_enumerate_walks,
     reference_evaluate_polynomial,
+    reference_merge_keys,
     reference_series_terms,
+    reference_walk_weight,
     unpruned_series_terms,
 )
 
@@ -117,6 +121,106 @@ class TestWalks:
 
     def test_empty_braid_no_walks(self):
         assert enumerate_walks(BraidWord(3, ()), simple_only=False) == []
+
+
+class TestEnumerationReferences:
+    """enumerate_walks, walk_weight and walk_sum_C against the
+    product-and-filter enumeration and the normal-ordered weights."""
+
+    def test_differential_words(self):
+        words = differential_words()
+        assert len(words) == 571
+        for b in words:
+            for simple_only in (True, False):
+                got = enumerate_walks(b, simple_only)
+                expected = reference_enumerate_walks(b, simple_only)
+                assert got == expected, (b.serialize(), simple_only)
+                total = OperatorPolynomial.zero()
+                for walk in expected:
+                    weight = reference_walk_weight(walk, b)
+                    assert walk_weight(walk, b) == weight, b.serialize()
+                    total = total + weight
+                assert walk_sum_C(b, simple_only) == total, b.serialize()
+
+    def test_no_nonsimple_walk_is_built(self, monkeypatch):
+        # the build-C anchor: 587 simple walks among 19,385
+        b = parse_braid(
+            "-1 -1 -1 2 -2 -2 -1 -2 -1 1 -2 2 -1 -1 2 1 2 -2 -1 -1", 3
+        )
+        built = 0
+        post_init = walks.Walk.__post_init__
+
+        def counted(self):
+            nonlocal built
+            built += 1
+            post_init(self)
+
+        monkeypatch.setattr(walks.Walk, "__post_init__", counted)
+        assert len(enumerate_walks(b, True)) == 587
+        assert built == 587
+        built = 0
+        assert len(enumerate_walks(b, False)) == 19385
+        assert built == 19385
+
+
+@st.composite
+def merge_key_pair(draw):
+    """Two canonical keys on crossings 1-12 with one sign per crossing;
+    half the draws move the second key past the first, so that their
+    crossing ranges are disjoint."""
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=24, max_size=24))
+    entry = st.tuples(
+        st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)
+    ).filter(any)
+
+    def key(offset):
+        crossings = sorted(draw(st.sets(st.integers(1, 12), max_size=6)))
+        return tuple(
+            (j + offset, signs[j + offset - 1], *draw(entry)) for j in crossings
+        )
+
+    k1 = key(0)
+    k2 = key(12 if draw(st.booleans()) else 0)
+    return (k2, k1) if draw(st.booleans()) else (k1, k2)
+
+
+class TestMergeShortcut:
+    """The disjoint-range shortcut of _merge_keys against the merge loop."""
+
+    merge = staticmethod(_merge_keys.__wrapped__)
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_key_pair())
+    def test_matches_merge_loop(self, pair):
+        assert self.merge(*pair) == reference_merge_keys(*pair)
+
+    def test_empty_keys(self):
+        k = ((2, 1, 1, 0, 0), (5, -1, 0, 1, 1))
+        assert self.merge((), ()) == ((), 0)
+        assert self.merge((), k) == (k, 0)
+        assert self.merge(k, ()) == (k, 0)
+
+    def test_disjoint_either_order(self):
+        k1 = ((1, 1, 0, 1, 0), (2, -1, 1, 0, 0))
+        k2 = ((3, 1, 1, 0, 0), (4, 1, 0, 0, 1))
+        assert self.merge(k1, k2) == (k1 + k2, 0)
+        assert self.merge(k2, k1) == (k1 + k2, 0)
+
+    def test_touching_ranges_take_the_loop(self):
+        # k1 ends and k2 starts at crossing 3: c a times b c there gives
+        # b c^2 a with shift alpha + beta + gamma = -2 + 0 + 1 for sign +
+        k1 = ((1, 1, 1, 0, 0), (3, 1, 0, 1, 1))
+        k2 = ((3, 1, 1, 1, 0), (5, -1, 0, 0, 1))
+        expected = (((1, 1, 1, 0, 0), (3, 1, 1, 2, 1), (5, -1, 0, 0, 1)), -1)
+        assert self.merge(k1, k2) == expected
+        assert reference_merge_keys(k1, k2) == expected
+
+    def test_sign_mismatch_at_shared_crossing(self):
+        k1 = ((1, 1, 1, 0, 0), (2, 1, 1, 0, 0))
+        k2 = ((2, -1, 0, 1, 0), (4, 1, 0, 0, 1))
+        for a, b in ((k1, k2), (k2, k1), (k1[1:], k2[:1])):
+            with pytest.raises(ValueError, match="sign mismatch at crossing 2"):
+                self.merge(a, b)
 
 
 class TestWalkWeight:
