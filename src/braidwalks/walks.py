@@ -311,14 +311,16 @@ _MERGE_EXP_BOUND = max(
 
 
 # bounded like _eval_base, so a long-lived process does not grow with every
-# key pair it has merged; most merges of C_qdet are seen only once
+# key pair it has merged; walk weights and op_mul merge keys here, while the
+# minor transfer of qdet appends its entries and never merges.  It stays an
+# lru_cache because benchmarks/trace_layers.py reads its cache_info.
 @lru_cache(maxsize=1 << 12)
 def _merge_keys(k1: CanonicalKey, k2: CanonicalKey) -> tuple[CanonicalKey, int]:
     """Merge two canonical keys (left operand first); returns (key, q-shift).
 
     When the crossings of one key all come before those of the other, no
     crossing is shared, so the merge is the concatenation in crossing order
-    with shift 0; every letter product of rho is of this kind.
+    with shift 0.
     """
     if not k1 or not k2 or k1[-1][0] < k2[0][0]:
         return k1 + k2, 0

@@ -19,7 +19,7 @@ from braidwalks import (
     op_mul,
     walk_weight,
 )
-from braidwalks.qdet import identity_matrix
+from braidwalks.qdet import det_q, identity_matrix
 from braidwalks.qops import _eval_base
 from braidwalks.walks import _MERGE_EXP, CanonicalKey, _is_dead
 
@@ -60,9 +60,13 @@ def knot_closure_words(max_strands: int = 4, max_length: int = 6) -> list[BraidW
 
 def differential_words() -> list[BraidWord]:
     """The words the C-construction references are compared on: every 10th
-    corpus word, and 20 seeded 3- and 4-strand words of 9-20 crossings."""
-    return knot_closure_words()[::10] + random_knot_words(
-        20, (3, 4), (9, 20), seed=2024
+    corpus word, 20 seeded 3- and 4-strand words of 9-20 crossings, and 10
+    seeded 5-strand words of 8-12 crossings, the only ones with 4x4
+    quantum minors in C_qdet."""
+    return (
+        knot_closure_words()[::10]
+        + random_knot_words(20, (3, 4), (9, 20), seed=2024)
+        + random_knot_words(10, (5,), (8, 12), seed=2024)
     )
 
 
@@ -229,11 +233,31 @@ def mat_mul(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
 
 def reference_rho(b: BraidWord) -> OperatorMatrix:
     """rho as the mat_mul fold of the full local matrices: the reference the
-    two-column update of rho is compared against."""
+    size-1 minors of rho and every minor of qdet.quantum_minors are compared
+    against."""
     result = identity_matrix(b.strands)
     for j, (l, sign) in enumerate(b.letters, start=1):
         result = mat_mul(result, local_matrix(j, sign, l, b.strands))
     return result
+
+
+def reference_C_qdet(b: BraidWord) -> OperatorPolynomial:
+    """C as the signed sum of the quantum determinants, each a sum over
+    permutations, of the principal submatrices of q * reference_rho(b) on
+    nonempty J in {2..m}: the reference the minor transfer of C_qdet is
+    compared against."""
+    m = b.strands
+    R = reference_rho(b).scaled(LaurentPolynomial.term(1))
+    total = OperatorPolynomial.zero()
+    for size in range(1, m):
+        sign = 1 if (size - 1) % 2 == 0 else -1
+        for J in itertools.combinations(range(2, m + 1), size):
+            idx = [x - 1 for x in J]
+            d = det_q(R.submatrix(idx))
+            total = total + (
+                d if sign > 0 else d.scaled(LaurentPolynomial.term(0, -1))
+            )
+    return total
 
 
 def reference_merge_keys(

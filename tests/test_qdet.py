@@ -1,3 +1,6 @@
+import time
+from itertools import combinations
+
 import pytest
 
 from braidwalks import (
@@ -18,8 +21,13 @@ from braidwalks import (
     walk_sum_C,
     walk_weight,
 )
-from braidwalks.qdet import identity_matrix
-from corpus_util import differential_words, reference_rho
+from braidwalks.qdet import identity_matrix, quantum_minors
+from corpus_util import (
+    differential_words,
+    knot_closure_words,
+    reference_C_qdet,
+    reference_rho,
+)
 
 FIG8 = parse_braid("1 -2 1 -2", 3)
 ONE = LaurentPolynomial.one()
@@ -82,7 +90,8 @@ class TestRho:
                 assert M[end - 1, start - 1] == expected
 
     def test_matches_full_matrix_products(self):
-        # the two-column update against the fold of full local matrices
+        # the size-1 minors of the transfer against the fold of full local
+        # matrices
         for b in differential_words():
             assert rho(b) == reference_rho(b), b.serialize()
 
@@ -108,9 +117,71 @@ class TestDetQ:
         assert det_q(OperatorMatrix(((e,),))) == e
 
 
+def nonempty_subsets(strands):
+    return [
+        S
+        for size in range(1, len(strands) + 1)
+        for S in combinations(strands, size)
+    ]
+
+
+class TestQuantumMinors:
+    @pytest.mark.parametrize(
+        "text,strands",
+        [
+            ("1 -2 1 -2", 3),
+            ("1 2 1 2 1 2 1 2", 3),
+            ("1 1 1 2 -1 2", 3),
+            ("1 2 3 1 2 3 1 2 3", 4),
+            ("-1 2 -3 -2 1 3 -2", 4),
+            ("2 -1 -3 2 1 -2 3 3", 4),
+            ("1 -2 3 -4 1 -2 3 -4", 5),
+        ],
+    )
+    def test_every_prefix_minor_is_det_q(self, text, strands):
+        # the transfer's invariant, checked after every crossing: each
+        # stored minor (I, K) is det_q of that submatrix of the full
+        # product of local matrices, and every minor left out is zero
+        b = parse_braid(text, strands)
+        row_sets = nonempty_subsets(range(1, strands + 1))
+        for k in range(len(b) + 1):
+            prefix = BraidWord(strands, b.letters[:k])
+            minors = quantum_minors(prefix, row_sets)
+            R = reference_rho(prefix)
+            for I in row_sets:
+                rows = [i - 1 for i in I]
+                for K in combinations(range(1, strands + 1), len(I)):
+                    expected = det_q(R.submatrix(rows, [c - 1 for c in K]))
+                    got = minors.get((I, K), OperatorPolynomial.zero())
+                    assert got == expected, (text, k, I, K)
+            assert all(minor for minor in minors.values())
+
+
 class TestCqdet:
     def test_fig8_matches_walks(self):
         assert C_qdet(FIG8) == walk_sum_C(FIG8, simple_only=True)
+
+    def test_matches_reference_on_corpus(self):
+        for b in knot_closure_words():
+            assert C_qdet(b) == reference_C_qdet(b), b.serialize()
+
+    def test_matches_reference_and_walks_on_differential_words(self):
+        for b in differential_words():
+            C = C_qdet(b)
+            assert C == reference_C_qdet(b), b.serialize()
+            assert C == walk_sum_C(b, simple_only=True), b.serialize()
+
+    def test_nineteen_crossing_four_strand_word(self):
+        # the permutation sum over rho took about 9 s here
+        b = parse_braid(
+            "-2 2 -3 2 3 3 -1 -2 3 -1 -2 -2 3 -1 -2 -1 3 -1 -3", 4
+        )
+        start = time.process_time()
+        C = C_qdet(b)
+        elapsed = time.process_time() - start
+        assert len(C) == 466
+        assert C == walk_sum_C(b, simple_only=True)
+        assert elapsed < 1.0
 
     def test_single_positive_crossing_zero(self):
         assert not C_qdet(parse_braid("1", 2))

@@ -129,7 +129,7 @@ class TestEnumerationReferences:
 
     def test_differential_words(self):
         words = differential_words()
-        assert len(words) == 571
+        assert len(words) == 581
         for b in words:
             for simple_only in (True, False):
                 got = enumerate_walks(b, simple_only)
