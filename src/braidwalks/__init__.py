@@ -29,8 +29,6 @@ from .laurent import LaurentPolynomial
 from .qdet import (
     C_qdet,
     OperatorMatrix,
-    det_q,
-    local_matrix,
     matrix_is_right_quantum,
     rho,
     right_quantum_check,
@@ -73,14 +71,12 @@ __all__ = [
     "Walk",
     "bracket_jones_oracle",
     "colored_jones",
-    "det_q",
     "enumerate_paths",
     "enumerate_walks",
     "eval_crossing",
     "evaluate_series",
     "figure_eight_closed_form",
     "is_knot_closure",
-    "local_matrix",
     "matrix_is_right_quantum",
     "normal_order",
     "op_mul",

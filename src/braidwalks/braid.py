@@ -45,17 +45,8 @@ class BraidWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def crossing(self, j: int) -> tuple[int, int]:
-        """The (generator, sign) pair at crossing index j (1-based, top down)."""
-        return self.letters[j - 1]
-
     def is_positive(self) -> bool:
         return all(s > 0 for _, s in self.letters)
-
-    def concat(self, other: "BraidWord") -> "BraidWord":
-        if other.strands != self.strands:
-            raise ValueError("cannot concatenate words on different strand counts")
-        return BraidWord(self.strands, self.letters + other.letters)
 
     def serialize(self) -> str:
         return " ".join(str(i * s) for i, s in self.letters)

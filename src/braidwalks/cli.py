@@ -29,7 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strands", required=True, type=int)
         if color:
             p.add_argument("--color", required=True, type=int, help="color N >= 2")
-        p.add_argument("--format", choices=("text", "json"), default=None)
         p.add_argument("-v", "--verbose", action="store_true")
 
     p = sub.add_parser("compute", help="compute the colored Jones polynomial")
@@ -48,16 +47,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="Jones polynomial via the Kauffman bracket state sum")
     common(p)
+
+    # walks and matrix always print JSON, so they take no --format
+    for name in ("compute", "check-positive", "oracle"):
+        sub.choices[name].add_argument("--format", choices=("text", "json"), default=None)
     return parser
 
 
 def _dispatch(args: argparse.Namespace) -> str:
     b = parse_braid(args.braid, args.strands)
-    fmt = args.format
 
     if args.subcommand == "compute":
         result = colored_jones(b, args.color, args.method)
-        if fmt == "json":
+        if args.format == "json":
             return json.dumps(result.to_json(), sort_keys=True)
         return str(result.polynomial)
 
@@ -74,7 +76,7 @@ def _dispatch(args: argparse.Namespace) -> str:
 
     if args.subcommand == "check-positive":
         report = positive_braid_report(b, args.color)
-        if fmt == "text":
+        if args.format == "text":
             lines = [
                 f"L_N = {report.L_N}",
                 f"lowest degree = {report.lowest_degree}",
@@ -86,7 +88,7 @@ def _dispatch(args: argparse.Namespace) -> str:
 
     if args.subcommand == "oracle":
         poly = bracket_jones_oracle(b)
-        if fmt == "json":
+        if args.format == "json":
             return json.dumps(poly.to_json(), sort_keys=True)
         return str(poly)
 

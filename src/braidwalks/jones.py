@@ -62,16 +62,13 @@ def colored_jones(b: BraidWord, N: int, method: str = "both") -> JonesResult:
         raise NotAKnotError("closure of the braid is not a knot")
     framing = _half_exponent((N - 1) * (writhe(b) - b.strands + 1))
 
-    if len(b) == 0:
-        poly = LaurentPolynomial.one()
-    else:
-        C = C_qdet(b) if method == "qdet" else walk_sum_C(b, simple_only=True)
-        # equal operator polynomials have equal series, so "both" evaluates once
-        if method == "both" and C != C_qdet(b):
-            raise PipelineMismatchError(
-                f"walk and qdet operator polynomials differ for {b.serialize()!r}"
-            )
-        poly = evaluate_series(C, b, N)
+    C = C_qdet(b) if method == "qdet" else walk_sum_C(b)
+    # equal operator polynomials have equal series, so "both" evaluates once
+    if method == "both" and C != C_qdet(b):
+        raise PipelineMismatchError(
+            f"walk and qdet operator polynomials differ for {b.serialize()!r}"
+        )
+    poly = evaluate_series(C, b, N)
     return JonesResult(b, N, poly.shifted(framing), method, framing)
 
 

@@ -7,18 +7,20 @@ Huynh-Le formula, C is the sum over nonempty J in {2..m} of
 quantum_minors carries the quantum minors of the partial products of rho
 from crossing to crossing, by the quantum Cauchy-Binet identity; C_qdet
 reads its principal minors and rho its entries, the minors of size 1.
+det_q names the quantum determinant throughout; neither it nor a local
+matrix is ever formed here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable
 
 from .braid import BraidWord
 from .laurent import LaurentPolynomial
 from .qops import CrossingWord, normal_order
-from .walks import CanonicalKey, OperatorPolynomial, inversions, op_mul
+from .walks import CanonicalKey, OperatorPolynomial, op_mul
 
 
 @dataclass(frozen=True)
@@ -40,27 +42,8 @@ class OperatorMatrix:
         i, j = pos
         return self.entries[i][j]
 
-    def scaled(self, factor: LaurentPolynomial) -> "OperatorMatrix":
-        return OperatorMatrix(
-            tuple(tuple(e.scaled(factor) for e in row) for row in self.entries)
-        )
-
-    def submatrix(self, rows, cols=None) -> "OperatorMatrix":
-        cols = rows if cols is None else cols
-        return OperatorMatrix(
-            tuple(tuple(self.entries[i][j] for j in cols) for i in rows)
-        )
-
     def to_json(self) -> list[list[list]]:
         return [[e.to_json() for e in row] for row in self.entries]
-
-
-def identity_matrix(m: int) -> OperatorMatrix:
-    one = OperatorPolynomial.one()
-    zero = OperatorPolynomial.zero()
-    return OperatorMatrix(
-        tuple(tuple(one if i == j else zero for j in range(m)) for i in range(m))
-    )
 
 
 # The 2x2 block S of the local matrix by sign, as letters (None for 0):
@@ -79,26 +62,6 @@ _DET_BLOCK = {
     sign: normal_order(CrossingWord(sign, S[1][0] + S[0][1]))
     for sign, S in _BLOCK.items()
 }
-
-
-def local_matrix(j: int, sign: int, l: int, m: int) -> OperatorMatrix:
-    """Identity with the 2x2 block at rows/cols (l, l+1) replaced by S_sign.
-
-    S_+ = (a b; c 0) and S_- = (0 c; b a), letters tagged with crossing j.
-    """
-    if m < 2 or not 1 <= l <= m - 1:
-        raise ValueError(f"generator position {l} out of range for {m} strands")
-    rows = [list(row) for row in identity_matrix(m).entries]
-    for di, block_row in enumerate(_BLOCK[sign]):
-        for dj, x in enumerate(block_row):
-            rows[l - 1 + di][l - 1 + dj] = (
-                OperatorPolynomial.zero()
-                if x is None
-                else OperatorPolynomial.from_words(
-                    LaurentPolynomial.one(), {j: CrossingWord(sign, x)}
-                )
-            )
-    return OperatorMatrix(tuple(tuple(row) for row in rows))
 
 
 # a quantum minor's (row set, column set), each an ascending tuple of strands
@@ -250,26 +213,6 @@ def rho(b: BraidWord) -> OperatorMatrix:
             for i in range(1, m + 1)
         )
     )
-
-
-def det_q(A: OperatorMatrix) -> OperatorPolynomial:
-    """Quantum determinant: sum over permutations of (-q)^inv times the
-    column-ascending product of entries."""
-    n = A.dim
-    if n == 0:
-        return OperatorPolynomial.one()
-    total = OperatorPolynomial.zero()
-    for perm in permutations(range(n)):
-        prod = A.entries[perm[0]][0]
-        for col in range(1, n):
-            if not prod:
-                break
-            prod = op_mul(prod, A.entries[perm[col]][col])
-        if not prod:
-            continue
-        inv = inversions(perm)
-        total = total + prod.scaled(LaurentPolynomial.term(inv, (-1) ** inv))
-    return total
 
 
 def C_qdet(b: BraidWord) -> OperatorPolynomial:

@@ -55,11 +55,6 @@ class CrossingWord:
         if not _LETTERS.issuperset(self.word):
             raise ValueError(f"invalid crossing word {self.word!r}")
 
-    def __mul__(self, other: "CrossingWord") -> "CrossingWord":
-        if other.sign != self.sign:
-            raise ValueError("cannot multiply crossing words of opposite sign")
-        return CrossingWord(self.sign, self.word + other.word)
-
 
 @dataclass(frozen=True)
 class NormalForm:
@@ -196,31 +191,17 @@ def apply_word(word: str, sign: int, p: TriPoly) -> TriPoly:
     return p
 
 
-def oracle_eval_z(w: CrossingWord) -> dict[int, LaurentPolynomial]:
-    """Generic evaluation in the auxiliary variable z (debugging aid).
+def oracle_apply(w: CrossingWord, N: int) -> LaurentPolynomial:
+    """Evaluate E_N on a crossing word via the q-difference operators.
 
     Applies the word to the constant polynomial 1, then substitutes
-    x -> z, y -> z, u -> 1.  Returns a map from z-exponent to coefficient.
+    x -> q^(N-1), y -> q^(N-1), u -> 1.
     """
-    p = apply_word(w.word, w.sign, tri_one())
-    out: dict[int, LaurentPolynomial] = {}
-    for (ex, ey, _eu), c in p.items():
-        ez = ex + ey
-        n = out.get(ez, LaurentPolynomial.zero()) + c
-        if n:
-            out[ez] = n
-        else:
-            out.pop(ez, None)
-    return out
-
-
-def oracle_apply(w: CrossingWord, N: int) -> LaurentPolynomial:
-    """Evaluate E_N on a crossing word via the q-difference operators."""
     if N < 2:
         raise ValueError("color N must be at least 2")
     total = LaurentPolynomial.zero()
-    for ez, c in oracle_eval_z(w).items():
-        total = total + c.shifted((N - 1) * ez)
+    for (ex, ey, _eu), c in apply_word(w.word, w.sign, tri_one()).items():
+        total = total + c.shifted((N - 1) * (ex + ey))
     return total
 
 

@@ -406,10 +406,11 @@ def walk_weight(walk: Walk, b: BraidWord) -> OperatorPolynomial:
     return OperatorPolynomial({key: coeff})
 
 
-def walk_sum_C(b: BraidWord, simple_only: bool = True) -> OperatorPolynomial:
-    """The polynomial C: sum of the weights of walks with J in {2..m}."""
+def walk_sum_C(b: BraidWord) -> OperatorPolynomial:
+    """The polynomial C: sum of the weights of the simple walks with J in
+    {2..m}."""
     out: dict[CanonicalKey, LaurentPolynomial] = {}
-    for walk in enumerate_walks(b, simple_only):
+    for walk in enumerate_walks(b, simple_only=True):
         key, c = _walk_term(walk, b)
         n = out.get(key)
         out[key] = c if n is None else n + c

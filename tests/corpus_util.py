@@ -1,4 +1,12 @@
-"""Shared braid-word enumeration helpers for the test suite."""
+"""Shared braid-word enumeration helpers and reference constructions for
+the test suite.
+
+The references are the direct, unoptimized forms of what the package
+computes faster: walks by product and filter, weights by normal ordering
+whole words, rho as the product of full local matrices, and C_qdet as
+quantum determinants summed over permutations (det_q).  They live only
+here; the package builds neither local matrices nor permutation sums.
+"""
 
 from __future__ import annotations
 
@@ -15,13 +23,11 @@ from braidwalks import (
     enumerate_paths,
     enumerate_walks,
     is_knot_closure,
-    local_matrix,
     op_mul,
     walk_weight,
 )
-from braidwalks.qdet import det_q, identity_matrix
 from braidwalks.qops import _eval_base
-from braidwalks.walks import _MERGE_EXP, CanonicalKey, _is_dead
+from braidwalks.walks import _MERGE_EXP, CanonicalKey, _is_dead, inversions
 
 
 def random_knot_words(
@@ -202,12 +208,76 @@ def reference_walk_weight(walk: Walk, b: BraidWord) -> OperatorPolynomial:
         for j, letter in path.letters:
             letters.setdefault(j, []).append(letter)
     words = {
-        j: CrossingWord(b.crossing(j)[1], "".join(parts))
+        j: CrossingWord(b.letters[j - 1][1], "".join(parts))
         for j, parts in letters.items()
     }
     return OperatorPolynomial.from_words(
         LaurentPolynomial.term(e, (-1) ** (e + 1)), words
     )
+
+
+def identity_matrix(m: int) -> OperatorMatrix:
+    one = OperatorPolynomial.one()
+    zero = OperatorPolynomial.zero()
+    return OperatorMatrix(
+        tuple(tuple(one if i == j else zero for j in range(m)) for i in range(m))
+    )
+
+
+# The 2x2 block S of the local matrix by sign, as letters (None for 0):
+# S_+ = (a b; c 0) and S_- = (0 c; b a), restated from the paper rather than
+# read from the package, so the references check its block too.
+LOCAL_BLOCK = {1: (("a", "b"), ("c", None)), -1: ((None, "c"), ("b", "a"))}
+
+
+def local_matrix(j: int, sign: int, l: int, m: int) -> OperatorMatrix:
+    """Identity with the 2x2 block at rows/cols (l, l+1) replaced by S_sign,
+    letters tagged with crossing j."""
+    if m < 2 or not 1 <= l <= m - 1:
+        raise ValueError(f"generator position {l} out of range for {m} strands")
+    rows = [list(row) for row in identity_matrix(m).entries]
+    for di, block_row in enumerate(LOCAL_BLOCK[sign]):
+        for dj, x in enumerate(block_row):
+            rows[l - 1 + di][l - 1 + dj] = (
+                OperatorPolynomial.zero()
+                if x is None
+                else OperatorPolynomial.from_words(
+                    LaurentPolynomial.one(), {j: CrossingWord(sign, x)}
+                )
+            )
+    return OperatorMatrix(tuple(tuple(row) for row in rows))
+
+
+def submatrix(A: OperatorMatrix, rows, cols=None) -> OperatorMatrix:
+    """The entries of A at `rows` x `cols` (0-based; cols default to rows)."""
+    cols = rows if cols is None else cols
+    return OperatorMatrix(tuple(tuple(A.entries[i][j] for j in cols) for i in rows))
+
+
+def scaled_matrix(A: OperatorMatrix, factor: LaurentPolynomial) -> OperatorMatrix:
+    return OperatorMatrix(
+        tuple(tuple(e.scaled(factor) for e in row) for row in A.entries)
+    )
+
+
+def det_q(A: OperatorMatrix) -> OperatorPolynomial:
+    """Quantum determinant: sum over permutations of (-q)^inv times the
+    column-ascending product of entries."""
+    n = A.dim
+    if n == 0:
+        return OperatorPolynomial.one()
+    total = OperatorPolynomial.zero()
+    for perm in itertools.permutations(range(n)):
+        prod = A.entries[perm[0]][0]
+        for col in range(1, n):
+            if not prod:
+                break
+            prod = op_mul(prod, A.entries[perm[col]][col])
+        if not prod:
+            continue
+        inv = inversions(perm)
+        total = total + prod.scaled(LaurentPolynomial.term(inv, (-1) ** inv))
+    return total
 
 
 def mat_mul(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
@@ -247,13 +317,13 @@ def reference_C_qdet(b: BraidWord) -> OperatorPolynomial:
     nonempty J in {2..m}: the reference the minor transfer of C_qdet is
     compared against."""
     m = b.strands
-    R = reference_rho(b).scaled(LaurentPolynomial.term(1))
+    R = scaled_matrix(reference_rho(b), LaurentPolynomial.term(1))
     total = OperatorPolynomial.zero()
     for size in range(1, m):
         sign = 1 if (size - 1) % 2 == 0 else -1
         for J in itertools.combinations(range(2, m + 1), size):
             idx = [x - 1 for x in J]
-            d = det_q(R.submatrix(idx))
+            d = det_q(submatrix(R, idx))
             total = total + (
                 d if sign > 0 else d.scaled(LaurentPolynomial.term(0, -1))
             )

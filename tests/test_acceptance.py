@@ -181,7 +181,7 @@ def test_criterion_04_cancellation(sweep):
 
 def test_criterion_05_truncation(sweep):
     fig8_ok = True
-    C = walk_sum_C(FIG8, simple_only=True)
+    C = walk_sum_C(FIG8)
     for N in range(2, 6):
         terms = unpruned_series_terms(C, N, 2 * (N - 1))
         if any(terms[n] for n in range(N, 2 * (N - 1) + 1)):

@@ -90,7 +90,7 @@ def test_permutation_of_concatenation_composes(b1, b2):
         return
     p1 = underlying_permutation(b1)
     p2 = underlying_permutation(b2)
-    combined = underlying_permutation(b1.concat(b2))
+    combined = underlying_permutation(BraidWord(b1.strands, b1.letters + b2.letters))
     # walking bottom-up, the lower word b2 acts first
     composed = tuple(p1[p2[i] - 1] for i in range(b1.strands))
     assert combined == composed

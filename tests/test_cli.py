@@ -120,6 +120,15 @@ def test_matrix_dump(capsys):
     assert grid[1][1] == []
 
 
+@pytest.mark.parametrize("subcommand", ["walks", "matrix"])
+def test_json_only_subcommands_reject_format(capsys, subcommand):
+    # walks and matrix always print JSON, so --format is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--braid", "1 -2 1 -2", "--strands", "3", "--format", "text"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
 def test_oracle_subcommand(capsys):
     code, out, _ = run(capsys, "oracle", "--braid", "1 1 1", "--strands", "2")
     assert code == 0

@@ -10,9 +10,7 @@ from braidwalks import (
     LaurentPolynomial,
     OperatorMatrix,
     OperatorPolynomial,
-    det_q,
     enumerate_paths,
-    local_matrix,
     matrix_is_right_quantum,
     op_mul,
     parse_braid,
@@ -21,12 +19,16 @@ from braidwalks import (
     walk_sum_C,
     walk_weight,
 )
-from braidwalks.qdet import identity_matrix, quantum_minors
+from braidwalks.qdet import quantum_minors
 from corpus_util import (
+    det_q,
     differential_words,
+    identity_matrix,
     knot_closure_words,
+    local_matrix,
     reference_C_qdet,
     reference_rho,
+    submatrix,
 )
 
 FIG8 = parse_braid("1 -2 1 -2", 3)
@@ -80,7 +82,7 @@ class TestRho:
                 poly = OperatorPolynomial.from_words(
                     ONE,
                     {
-                        j: CrossingWord(b.crossing(j)[1], letter)
+                        j: CrossingWord(b.letters[j - 1][1], letter)
                         for j, letter in p.letters
                     },
                 )
@@ -151,7 +153,7 @@ class TestQuantumMinors:
             for I in row_sets:
                 rows = [i - 1 for i in I]
                 for K in combinations(range(1, strands + 1), len(I)):
-                    expected = det_q(R.submatrix(rows, [c - 1 for c in K]))
+                    expected = det_q(submatrix(R, rows, [c - 1 for c in K]))
                     got = minors.get((I, K), OperatorPolynomial.zero())
                     assert got == expected, (text, k, I, K)
             assert all(minor for minor in minors.values())
@@ -159,7 +161,7 @@ class TestQuantumMinors:
 
 class TestCqdet:
     def test_fig8_matches_walks(self):
-        assert C_qdet(FIG8) == walk_sum_C(FIG8, simple_only=True)
+        assert C_qdet(FIG8) == walk_sum_C(FIG8)
 
     def test_matches_reference_on_corpus(self):
         for b in knot_closure_words():
@@ -169,7 +171,7 @@ class TestCqdet:
         for b in differential_words():
             C = C_qdet(b)
             assert C == reference_C_qdet(b), b.serialize()
-            assert C == walk_sum_C(b, simple_only=True), b.serialize()
+            assert C == walk_sum_C(b), b.serialize()
 
     def test_nineteen_crossing_four_strand_word(self):
         # the permutation sum over rho took about 9 s here
@@ -180,7 +182,7 @@ class TestCqdet:
         C = C_qdet(b)
         elapsed = time.process_time() - start
         assert len(C) == 466
-        assert C == walk_sum_C(b, simple_only=True)
+        assert C == walk_sum_C(b)
         assert elapsed < 1.0
 
     def test_single_positive_crossing_zero(self):

@@ -139,6 +139,3 @@ def test_crossing_word_validation():
         CrossingWord(0, "a")
     with pytest.raises(ValueError):
         CrossingWord(1, "xyz")
-    assert (CrossingWord(1, "ab") * CrossingWord(1, "c")).word == "abc"
-    with pytest.raises(ValueError):
-        CrossingWord(1, "a") * CrossingWord(-1, "a")
