@@ -99,12 +99,10 @@ class PositiveBraidReport:
         }
 
 
-def positive_braid_report(
-    b: BraidWord, N: int, method: str = "walks"
-) -> PositiveBraidReport:
+def positive_braid_report(b: BraidWord, N: int) -> PositiveBraidReport:
     if not b.is_positive():
         raise ValueError("braid word is not positive")
-    result = colored_jones(b, N, method)
+    result = colored_jones(b, N, "walks")
     poly = result.polynomial
     L = _half_exponent((N - 1) * (len(b) - b.strands + 1))
     lowest = poly.valuation()

@@ -65,6 +65,9 @@ class LaurentPolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its integer, so it hashes as that integer
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .braid import BraidWord
 from .laurent import LaurentPolynomial
-from .qops import CrossingWord, normal_order
+from .qops import _LETTER, CrossingWord, normal_order
 from .walks import CanonicalKey, OperatorPolynomial, op_mul
 
 
@@ -49,13 +49,6 @@ class OperatorMatrix:
 # The 2x2 block S of the local matrix by sign, as letters (None for 0):
 # S_+ = (a b; c 0) and S_- = (0 c; b a).
 _BLOCK = {1: (("a", "b"), ("c", None)), -1: ((None, "c"), ("b", "a"))}
-# the normal form of each letter of S, whose q-shift is 0 (None for 0)
-_BLOCK_NF = {
-    sign: tuple(
-        tuple(x and normal_order(CrossingWord(sign, x)) for x in row) for row in S
-    )
-    for sign, S in _BLOCK.items()
-}
 # det_q(S) = S[0][0] S[1][1] - q S[1][0] S[0][1] = -q S[1][0] S[0][1], as the
 # normal form of the word S[1][0] S[0][1]
 _DET_BLOCK = {
@@ -133,10 +126,7 @@ def _transfer(
     minors = {(I, I): [(None, LaurentPolynomial.one())] for I in row_sets}
     for j, (l, sign) in enumerate(b.letters, start=1):
         # the key entry of each letter of S at crossing j (None for 0)
-        S = [
-            [nf and (j, sign, nf.s, nf.r, nf.d) for nf in row]
-            for row in _BLOCK_NF[sign]
-        ]
+        S = [[x and (j, sign, *_LETTER[x]) for x in row] for row in _BLOCK[sign]]
         nf = _DET_BLOCK[sign]
         both_entry = (j, sign, nf.s, nf.r, nf.d)
         both_shift = 1 + nf.q_shift

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .braid import BraidWord, DiagramCell, NotAKnotError, is_knot_closure
 from .laurent import LaurentPolynomial
-from .qops import _SWAP_EXP, CrossingWord, _eval_base, normal_order
+from .qops import _LETTER, _MERGE_EXP, _eval_base
 
 
 @dataclass(frozen=True)
@@ -221,23 +221,6 @@ class OperatorPolynomial:
     def one(cls) -> "OperatorPolynomial":
         return cls({(): LaurentPolynomial.one()})
 
-    @classmethod
-    def from_words(
-        cls, coeff: LaurentPolynomial, words: Mapping[int, CrossingWord]
-    ) -> "OperatorPolynomial":
-        """The one-term polynomial coeff times one word per crossing index;
-        empty words are skipped."""
-        shift = 0
-        key = []
-        for j in sorted(words):
-            cw = words[j]
-            if not cw.word:
-                continue
-            nf = normal_order(cw)
-            shift += nf.q_shift
-            key.append((j, cw.sign, nf.s, nf.r, nf.d))
-        return cls({tuple(key): coeff.shifted(shift)})
-
     @property
     def terms(self) -> dict[CanonicalKey, LaurentPolynomial]:
         return dict(self._terms)
@@ -295,13 +278,6 @@ class OperatorPolynomial:
         return dump
 
 
-# (alpha, beta, gamma) per sign: the q-exponents of c b = q^alpha b c,
-# a b = q^beta b a and a c = q^gamma c a, all the product shift of two keys
-# reads; _merge_keys and the packed power loop of series_terms both use it.
-_MERGE_EXP = {
-    sign: (swap[("c", "b")], swap[("a", "b")], swap[("a", "c")])
-    for sign, swap in _SWAP_EXP.items()
-}
 # the largest |alpha| and |beta| + |gamma|: a term of C with fields at most M
 # has |alpha s| and |beta s + gamma r| at most _MERGE_EXP_BOUND * M
 _MERGE_EXP_BOUND = max(
@@ -378,18 +354,18 @@ def _walk_term(walk: Walk, b: BraidWord) -> tuple[CanonicalKey, LaurentPolynomia
     canonical key directly, one entry per crossing.  At each crossing the
     walk's word is the concatenation of its paths' letters in ascending
     start order, and the canonical term of a concatenation is the product
-    of the canonical terms of its parts (op_mul(from_words(u), from_words(v))
-    is from_words(u + v)); a crossing only one path meets adds no shift.  So
-    the weight is the product of the path keys in ascending start order,
-    folded through _merge_keys.
+    of the canonical terms of its parts: normal_order folds a word letter by
+    letter with the shift _merge_keys adds, both from qops._MERGE_EXP.  A
+    crossing only one path meets adds no shift.  So the weight is the
+    product of the path keys in ascending start order, folded through
+    _merge_keys.
     """
     e = len(walk.paths) + walk.inversions()
     sign = (-1) ** (e + 1)
     key: CanonicalKey = ()
     for path in walk.paths:
         path_key = tuple(
-            (j, b.letters[j - 1][1], int(x == "b"), int(x == "c"), int(x == "a"))
-            for j, x in path.letters
+            (j, b.letters[j - 1][1], *_LETTER[x]) for j, x in path.letters
         )
         key, shift = _merge_keys(key, path_key)
         e += shift

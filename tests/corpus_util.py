@@ -3,15 +3,19 @@ the test suite.
 
 The references are the direct, unoptimized forms of what the package
 computes faster: walks by product and filter, weights by normal ordering
-whole words, rho as the product of full local matrices, and C_qdet as
-quantum determinants summed over permutations (det_q).  They live only
-here; the package builds neither local matrices nor permutation sums.
+whole words (from_words), rho as the product of full local matrices, and
+C_qdet as quantum determinants summed over permutations (det_q).  They live
+only here; the package builds neither local matrices, permutation sums nor
+whole-word terms.  The commutation exponents are not restated: normal_order
+and reference_merge_keys read the package's one table, qops._MERGE_EXP, and
+the q-difference oracle checks that table independently.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Mapping
 
 from braidwalks import (
     BraidWord,
@@ -26,8 +30,26 @@ from braidwalks import (
     op_mul,
     walk_weight,
 )
-from braidwalks.qops import _eval_base
-from braidwalks.walks import _MERGE_EXP, CanonicalKey, _is_dead, inversions
+from braidwalks.qops import _MERGE_EXP, _eval_base, normal_order
+from braidwalks.walks import CanonicalKey, _is_dead, inversions
+
+
+def from_words(
+    coeff: LaurentPolynomial, words: Mapping[int, CrossingWord]
+) -> OperatorPolynomial:
+    """The one-term polynomial coeff times one word per crossing index, each
+    word normal-ordered whole; empty words are skipped.  The whole-word
+    reference the package's key merges are compared against."""
+    shift = 0
+    key = []
+    for j in sorted(words):
+        cw = words[j]
+        if not cw.word:
+            continue
+        nf = normal_order(cw)
+        shift += nf.q_shift
+        key.append((j, cw.sign, nf.s, nf.r, nf.d))
+    return OperatorPolynomial({tuple(key): coeff.shifted(shift)})
 
 
 def random_knot_words(
@@ -201,7 +223,7 @@ def reference_enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
 def reference_walk_weight(walk: Walk, b: BraidWord) -> OperatorPolynomial:
     """walk_weight by normal ordering each crossing's whole word: the letters
     of the walk's paths at each crossing, in ascending start order, go into
-    one CrossingWord and through OperatorPolynomial.from_words."""
+    one CrossingWord and through from_words."""
     e = len(walk.paths) + walk.inversions()
     letters: dict[int, list[str]] = {}
     for path in walk.paths:
@@ -211,9 +233,7 @@ def reference_walk_weight(walk: Walk, b: BraidWord) -> OperatorPolynomial:
         j: CrossingWord(b.letters[j - 1][1], "".join(parts))
         for j, parts in letters.items()
     }
-    return OperatorPolynomial.from_words(
-        LaurentPolynomial.term(e, (-1) ** (e + 1)), words
-    )
+    return from_words(LaurentPolynomial.term(e, (-1) ** (e + 1)), words)
 
 
 def identity_matrix(m: int) -> OperatorMatrix:
@@ -241,7 +261,7 @@ def local_matrix(j: int, sign: int, l: int, m: int) -> OperatorMatrix:
             rows[l - 1 + di][l - 1 + dj] = (
                 OperatorPolynomial.zero()
                 if x is None
-                else OperatorPolynomial.from_words(
+                else from_words(
                     LaurentPolynomial.one(), {j: CrossingWord(sign, x)}
                 )
             )

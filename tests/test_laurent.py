@@ -87,6 +87,18 @@ def test_str_ascending():
     assert str(LaurentPolynomial({1: 1})) == "q"
 
 
+def test_constants_hash_as_their_integers():
+    # __eq__ makes a constant polynomial equal to its integer, so hashing
+    # must agree, or sets and dicts hold both
+    for value in (0, 1, 5, -3):
+        p = LaurentPolynomial.term(0, value)
+        assert p == value and hash(p) == hash(value)
+        assert p in {value} and value in {p}
+        assert len({value, p}) == 1
+    assert LaurentPolynomial.one() in {1}
+    assert len({1, LaurentPolynomial.one()}) == 1
+
+
 def test_json_round_trip():
     p = LaurentPolynomial({-4: 3, 0: -1, 7: 2})
     assert LaurentPolynomial.from_json(p.to_json()) == p

@@ -23,6 +23,7 @@ from braidwalks.qdet import quantum_minors
 from corpus_util import (
     det_q,
     differential_words,
+    from_words,
     identity_matrix,
     knot_closure_words,
     local_matrix,
@@ -36,7 +37,7 @@ ONE = LaurentPolynomial.one()
 
 
 def letter_poly(j, sign, letter):
-    return OperatorPolynomial.from_words(ONE, {j: CrossingWord(sign, letter)})
+    return from_words(ONE, {j: CrossingWord(sign, letter)})
 
 
 class TestLocalMatrix:
@@ -79,7 +80,7 @@ class TestRho:
         for start in range(1, strands + 1):
             by_end = {}
             for p in enumerate_paths(b, start):
-                poly = OperatorPolynomial.from_words(
+                poly = from_words(
                     ONE,
                     {
                         j: CrossingWord(b.letters[j - 1][1], letter)

@@ -7,13 +7,14 @@ from braidwalks import (
     CrossingWord,
     LaurentPolynomial,
     NormalForm,
-    OperatorPolynomial,
     eval_crossing,
     normal_order,
     oracle_apply,
     op_mul,
     relation_oracle_check,
 )
+from braidwalks import qops
+from corpus_util import from_words
 
 ONE = LaurentPolynomial.one()
 Q = LaurentPolynomial.term(1)
@@ -46,7 +47,7 @@ class TestNormalOrder:
         # the product of canonical terms at one crossing is the canonical
         # term of the concatenated word
         def term(word):
-            return OperatorPolynomial.from_words(ONE, {1: CrossingWord(sign, word)})
+            return from_words(ONE, {1: CrossingWord(sign, word)})
 
         assert op_mul(term(u), term(v)) == term(u + v)
 
@@ -132,6 +133,28 @@ class TestRelations:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_perturbed_relation_fails(self, sign):
         assert not relation_oracle_check(sign, perturb=1)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_wrong_table_exponent_fails(self, monkeypatch, sign, index):
+        # normal_order and the oracle's relations both read qops._MERGE_EXP,
+        # so one wrong exponent there must show in both checks for that
+        # sign and leave the other sign alone
+        table = list(qops._MERGE_EXP[sign])
+        table[index] += 1
+        monkeypatch.setitem(qops._MERGE_EXP, sign, tuple(table))
+        assert not relation_oracle_check(sign)
+        assert relation_oracle_check(-sign)
+        words = [
+            CrossingWord(sign, "".join(w))
+            for n in range(4)
+            for w in itertools.product("abc", repeat=n)
+        ]
+        assert any(
+            eval_crossing(normal_order(cw), sign, N) != oracle_apply(cw, N)
+            for cw in words
+            for N in (2, 3)
+        )
 
 
 def test_crossing_word_validation():

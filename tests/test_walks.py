@@ -21,6 +21,7 @@ from braidwalks.walks import _is_dead, _merge_keys, evaluate_polynomial
 from corpus_util import (
     cancellation_pairing,
     differential_words,
+    from_words,
     knot_closure_words,
     reference_enumerate_walks,
     reference_evaluate_polynomial,
@@ -245,7 +246,7 @@ class TestWalkWeight:
                 (4, -1, 1, 1, 0),
             ): LaurentPolynomial.term(3)
         }
-        assert walk_weight(b, FIG8) == OperatorPolynomial.from_words(
+        assert walk_weight(b, FIG8) == from_words(
             LaurentPolynomial.term(3),
             {
                 1: CrossingWord(1, "c"),
@@ -310,7 +311,7 @@ class TestEvaluation:
         assert value == LaurentPolynomial.term(3) * (ONE - LaurentPolynomial.term(-1))
 
     def test_empty_monomial(self):
-        empty = OperatorPolynomial.from_words(ONE, {1: CrossingWord(1, "")})
+        empty = from_words(ONE, {1: CrossingWord(1, "")})
         assert empty == OperatorPolynomial.one()
         assert evaluate_polynomial(empty, 2) == ONE
 
