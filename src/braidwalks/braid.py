@@ -64,10 +64,9 @@ class BraidWord:
 def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse a whitespace-separated list of signed generator indices.
 
-    Token t means generator |t| with the sign of t; 0 is rejected.
+    Token t means generator |t| with the sign of t; 0 is rejected, and
+    BraidWord rejects a strand count below 1 or an index out of range.
     """
-    if strands < 1:
-        raise ValueError("strands must be at least 1")
     letters = []
     for token in text.split():
         try:
@@ -76,10 +75,6 @@ def parse_braid(text: str, strands: int) -> BraidWord:
             raise ValueError(f"malformed braid token: {token!r}") from None
         if t == 0:
             raise ValueError("braid token must be a nonzero integer")
-        if abs(t) >= strands:
-            raise ValueError(
-                f"generator index {abs(t)} out of range for {strands} strands"
-            )
         letters.append((abs(t), 1 if t > 0 else -1))
     return BraidWord(strands, tuple(letters))
 

@@ -29,7 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strands", required=True, type=int)
         if color:
             p.add_argument("--color", required=True, type=int, help="color N >= 2")
-        p.add_argument("-v", "--verbose", action="store_true")
 
     p = sub.add_parser("compute", help="compute the colored Jones polynomial")
     common(p, color=True)

@@ -12,7 +12,9 @@ _eval_base gives the factor E_N sends one crossing's (r, d) to, an exact
 Laurent polynomial in q; walks.evaluate_polynomial multiplies them out.
 
 A separate q-difference-operator realization of the letters is provided as
-an independent oracle: it acts on trivariate Laurent polynomials and must
+an independent oracle: one table, _OPERATORS, gives each letter of each
+sign as a sum of substitutions and monomial multiplications acting on
+trivariate Laurent polynomials.  It shares no code with the engine, must
 agree with the engine's evaluation on every word, and its letters must
 obey the relations of _MERGE_EXP.
 """
@@ -53,16 +55,15 @@ class CrossingWord:
 @lru_cache(maxsize=1 << 12)
 def _eval_base(sign: int, r: int, d: int, N: int) -> LaurentPolynomial:
     """E_N of b^s c^r a^d at one crossing of the given sign, for every s:
-    the b-count never matters."""
+    the b-count never matters.
+
+    It is q^(r(N-1-d)) for sign +1 and q^(-r(N-1)) for sign -1, times
+    1 - q^(sign (N-1-r-i)) for each i in 0..d-1.
+    """
     one = LaurentPolynomial.one()
-    if sign > 0:
-        result = LaurentPolynomial.term(r * (N - 1 - d))
-        for i in range(d):
-            result = result * (one - LaurentPolynomial.term(N - 1 - r - i))
-    else:
-        result = LaurentPolynomial.term(-r * (N - 1))
-        for i in range(d):
-            result = result * (one - LaurentPolynomial.term(r + i + 1 - N))
+    result = LaurentPolynomial.term(r * (N - 1 - d) if sign > 0 else -r * (N - 1))
+    for i in range(d):
+        result = result * (one - LaurentPolynomial.term(sign * (N - 1 - r - i)))
     return result
 
 
@@ -76,76 +77,42 @@ def _eval_base(sign: int, r: int, d: int, N: int) -> LaurentPolynomial:
 #   a_- = (Ty - x^-1) Tx^-1 Tu      b_- = u^2      c_- = y^-1 Tx^-1 Tu
 #
 # where v^ multiplies by the variable v and Tv substitutes v -> qv.
-# A trivariate polynomial is a dict mapping (ex, ey, eu) to a coefficient.
+# _OPERATORS expands each operator into terms (coefficient, (i, j, k),
+# (s, t, w)): substitute x -> q^s x, y -> q^t y, u -> q^w u, then multiply
+# by x^i y^j u^k.  A trivariate polynomial is a dict mapping (ex, ey, eu)
+# to a coefficient.
 # ---------------------------------------------------------------------------
 
 TriPoly = dict[tuple[int, int, int], LaurentPolynomial]
 
-
-def tri_one() -> TriPoly:
-    return {(0, 0, 0): LaurentPolynomial.one()}
-
-
-def _mul_var(p: TriPoly, axis: int, step: int) -> TriPoly:
-    out = {}
-    for key, c in p.items():
-        k = list(key)
-        k[axis] += step
-        out[tuple(k)] = c
-    return out
-
-
-def _tau(p: TriPoly, axis: int, power: int) -> TriPoly:
-    return {key: c.shifted(power * key[axis]) for key, c in p.items()}
-
-
-def _tri_add(p1: TriPoly, p2: TriPoly, negate: bool = False) -> TriPoly:
-    out = dict(p1)
-    for key, c in p2.items():
-        n = out.get(key, LaurentPolynomial.zero()) + (-c if negate else c)
-        if n:
-            out[key] = n
-        else:
-            out.pop(key, None)
-    return out
-
-
-def tri_scale(p: TriPoly, factor: LaurentPolynomial) -> TriPoly:
-    out = {}
-    for key, c in p.items():
-        n = c * factor
-        if n:
-            out[key] = n
-    return out
-
-
-_X, _Y, _U = 0, 1, 2
-
-
-def apply_letter(letter: str, sign: int, p: TriPoly) -> TriPoly:
-    if letter == "b":
-        return _mul_var(p, _U, 2)
-    if sign > 0:
-        if letter == "a":
-            p1 = _tau(p, _Y, -1)
-            return _tri_add(
-                _mul_var(p1, _U, 1), _mul_var(_tau(p1, _X, -1), _Y, 1), negate=True
-            )
-        if letter == "c":
-            return _mul_var(_tau(_tau(p, _Y, -2), _U, -1), _X, 1)
-    else:
-        if letter == "a":
-            p1 = _tau(_tau(p, _X, -1), _U, 1)
-            return _tri_add(_tau(p1, _Y, 1), _mul_var(p1, _X, -1), negate=True)
-        if letter == "c":
-            return _mul_var(_tau(_tau(p, _X, -1), _U, 1), _Y, -1)
-    raise ValueError(f"unknown letter {letter!r}")
+_OPERATORS = {
+    (1, "a"): ((1, (0, 0, 1), (0, -1, 0)), (-1, (0, 1, 0), (-1, -1, 0))),
+    (1, "b"): ((1, (0, 0, 2), (0, 0, 0)),),
+    (1, "c"): ((1, (1, 0, 0), (0, -2, -1)),),
+    (-1, "a"): ((1, (0, 0, 0), (-1, 1, 1)), (-1, (-1, 0, 0), (-1, 0, 1))),
+    (-1, "b"): ((1, (0, 0, 2), (0, 0, 0)),),
+    (-1, "c"): ((1, (0, -1, 0), (-1, 0, 1)),),
+}
 
 
 def apply_word(word: str, sign: int, p: TriPoly) -> TriPoly:
     """Apply a word of operators; the rightmost letter acts first."""
     for letter in reversed(word):
-        p = apply_letter(letter, sign, p)
+        terms = _OPERATORS.get((sign, letter))
+        if terms is None:
+            raise ValueError(f"unknown letter {letter!r} or sign {sign}")
+        out: TriPoly = {}
+        for (ex, ey, eu), c in p.items():
+            for coeff, (i, j, k), (s, t, w) in terms:
+                key = (ex + i, ey + j, eu + k)
+                n = out.get(key, LaurentPolynomial.zero()) + c.shifted(
+                    s * ex + t * ey + w * eu, coeff
+                )
+                if n:
+                    out[key] = n
+                else:
+                    out.pop(key, None)
+        p = out
     return p
 
 
@@ -158,7 +125,8 @@ def oracle_apply(w: CrossingWord, N: int) -> LaurentPolynomial:
     if N < 2:
         raise ValueError("color N must be at least 2")
     total = LaurentPolynomial.zero()
-    for (ex, ey, _eu), c in apply_word(w.word, w.sign, tri_one()).items():
+    one = {(0, 0, 0): LaurentPolynomial.one()}
+    for (ex, ey, _eu), c in apply_word(w.word, w.sign, one).items():
         total = total + c.shifted((N - 1) * (ex + ey))
     return total
 
@@ -183,12 +151,12 @@ def relation_oracle_check(sign: int) -> bool:
     polynomials.
     """
     rng = random.Random(7)
-    basket = [tri_one()] + [_random_tripoly(rng) for _ in range(8)]
+    basket = [{(0, 0, 0): LaurentPolynomial.one()}]
+    basket += [_random_tripoly(rng) for _ in range(8)]
     for lhs, exp in zip(("cb", "ab", "ac"), _MERGE_EXP[sign]):
-        factor = LaurentPolynomial.term(exp)
         for f in basket:
             left = apply_word(lhs, sign, f)
-            right = tri_scale(apply_word(lhs[::-1], sign, f), factor)
-            if left != right:
+            right = apply_word(lhs[::-1], sign, f)
+            if left != {k: c.shifted(exp) for k, c in right.items()}:
                 return False
     return True

@@ -255,9 +255,6 @@ class OperatorPolynomial:
     def __sub__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
         return self + other.scaled(LaurentPolynomial.term(0, -1))
 
-    def __mul__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
-        return op_mul(self, other)
-
     def scaled(self, factor: LaurentPolynomial) -> "OperatorPolynomial":
         return OperatorPolynomial(
             {k: c * factor for k, c in self._terms.items()}
@@ -294,14 +291,11 @@ _MERGE_EXP_BOUND = max(
 def _merge_keys(k1: CanonicalKey, k2: CanonicalKey) -> tuple[CanonicalKey, int]:
     """Merge two canonical keys (left operand first); returns (key, q-shift).
 
-    When the crossings of one key all come before those of the other, no
-    crossing is shared, so the merge is the concatenation in crossing order
-    with shift 0.
+    An empty key is returned as the other one with shift 0: the first path
+    of every walk merges into the empty key.
     """
-    if not k1 or not k2 or k1[-1][0] < k2[0][0]:
+    if not k1 or not k2:
         return k1 + k2, 0
-    if k2[-1][0] < k1[0][0]:
-        return k2 + k1, 0
     out = []
     shift = 0
     i1 = i2 = 0
@@ -397,21 +391,14 @@ def walk_sum_C(b: BraidWord) -> OperatorPolynomial:
 
 def evaluate_polynomial(p: OperatorPolynomial, N: int) -> LaurentPolynomial:
     """E_N(p): each key's coefficient times its crossings' _eval_base
-    factors, summed over the keys by one packed sum_of_products; a key with
-    a zero factor is skipped."""
+    factors, summed over the keys by one packed sum_of_products, which
+    drops the row of a key with a zero factor."""
     if N < 2:
         raise ValueError("color N must be at least 2")
-    rows = []
-    for key, coeff in p._terms.items():
-        row = [coeff]
-        for _j, sign, _s, r, d in key:
-            factor = _eval_base(sign, r, d, N)
-            if not factor:
-                break
-            row.append(factor)
-        else:
-            rows.append(row)
-    return LaurentPolynomial.sum_of_products(rows)
+    return LaurentPolynomial.sum_of_products(
+        [coeff, *(_eval_base(sign, r, d, N) for _j, sign, _s, r, d in key)]
+        for key, coeff in p._terms.items()
+    )
 
 
 def _is_dead(key: CanonicalKey, N: int) -> bool:

@@ -10,9 +10,9 @@ permutation sums nor whole-word terms, and forms the term of a word only as
 its one-letter key entries folded through walks._merge_keys (merged_word
 restates that fold for the tests).  from_words shares no code with
 _merge_keys, so reference_walk_weight and reference_C_qdet check the
-engine's merge.  The commutation exponents are not restated: from_words and
-reference_merge_keys read the package's one table, qops._MERGE_EXP, and the
-q-difference oracle checks that table independently.
+engine's merge.  The commutation exponents are not restated: from_words
+reads the package's one table, qops._MERGE_EXP, and the q-difference oracle
+checks that table independently.
 """
 
 from __future__ import annotations
@@ -375,34 +375,3 @@ def reference_C_qdet(b: BraidWord) -> OperatorPolynomial:
                 d if sign > 0 else d.scaled(LaurentPolynomial.term(0, -1))
             )
     return total
-
-
-def reference_merge_keys(
-    k1: CanonicalKey, k2: CanonicalKey
-) -> tuple[CanonicalKey, int]:
-    """_merge_keys without its disjoint-range shortcut: the merge loop over
-    both keys, whatever their ranges."""
-    out = []
-    shift = 0
-    i1 = i2 = 0
-    while i1 < len(k1) and i2 < len(k2):
-        e1, e2 = k1[i1], k2[i2]
-        if e1[0] < e2[0]:
-            out.append(e1)
-            i1 += 1
-        elif e1[0] > e2[0]:
-            out.append(e2)
-            i2 += 1
-        else:
-            j, sign, s1, r1, d1 = e1
-            _, sign2, s2, r2, d2 = e2
-            if sign2 != sign:
-                raise ValueError(f"sign mismatch at crossing {j}")
-            alpha, beta, gamma = _MERGE_EXP[sign]
-            shift += r1 * alpha * s2 + d1 * (beta * s2 + gamma * r2)
-            out.append((j, sign, s1 + s2, r1 + r2, d1 + d2))
-            i1 += 1
-            i2 += 1
-    out.extend(k1[i1:])
-    out.extend(k2[i2:])
-    return tuple(out), shift

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +153,15 @@ def test_pipeline_mismatch_exit_code(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "internal consistency failure" in err
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_output_matches_golden(capsys, case):
+    # every README example, a few larger dumps, the empty word on one
+    # strand and one case per single-fault input, as recorded from an
+    # earlier commit: a refactor leaves the CLI's output byte-identical, and
+    # a change meant to alter an output updates its case here
+    assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])

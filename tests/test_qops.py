@@ -136,6 +136,37 @@ class TestOracle:
         assert evaluate_polynomial(merged_word(cw), N) == oracle_apply(cw, N)
 
 
+class TestOperators:
+    """Each operator of the oracle on f = q x^2 y^-1 u^3, expanded by hand
+    from the operator comment in qops (Tv: v -> qv, v^: multiply by v)."""
+
+    F = {(2, -1, 3): Q}
+
+    @pytest.mark.parametrize(
+        "sign,letter,expected",
+        [
+            # (u^ - y^ Tx^-1) Ty^-1 f: Ty^-1 f = q^2 x^2 y^-1 u^3, and
+            # Tx^-1 of that is x^2 y^-1 u^3
+            (1, "a", {(2, -1, 4): LaurentPolynomial.term(2), (2, 0, 3): -ONE}),
+            (1, "b", {(2, -1, 5): Q}),
+            # x^ Ty^-2 Tu^-1 f = x q^2 q^-3 q x^2 y^-1 u^3
+            (1, "c", {(3, -1, 3): ONE}),
+            # (Ty - x^-1) Tx^-1 Tu f, where Tx^-1 Tu f = q^2 x^2 y^-1 u^3
+            (-1, "a", {(2, -1, 3): Q, (1, -1, 3): -LaurentPolynomial.term(2)}),
+            (-1, "b", {(2, -1, 5): Q}),
+            # y^-1 Tx^-1 Tu f = y^-1 q^2 x^2 y^-1 u^3
+            (-1, "c", {(2, -2, 3): LaurentPolynomial.term(2)}),
+        ],
+    )
+    def test_on_monomial(self, sign, letter, expected):
+        assert qops.apply_word(letter, sign, self.F) == expected
+
+    @pytest.mark.parametrize("sign,word", [(1, "x"), (0, "a"), (2, "b")])
+    def test_rejects_unknown_letter_or_sign(self, sign, word):
+        with pytest.raises(ValueError):
+            qops.apply_word(word, sign, self.F)
+
+
 class TestRelations:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_relations_hold(self, sign):
