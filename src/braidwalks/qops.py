@@ -58,13 +58,19 @@ def _eval_base(sign: int, r: int, d: int, N: int) -> LaurentPolynomial:
     the b-count never matters.
 
     It is q^(r(N-1-d)) for sign +1 and q^(-r(N-1)) for sign -1, times
-    1 - q^(sign (N-1-r-i)) for each i in 0..d-1.
+    1 - q^(sign (N-1-r-i)) for each i in 0..d-1.  So it is built from the
+    entry for d - 1, P, shifted by -r for sign +1, as P - P q^(sign (N-r-d)):
+    one pass over the terms per factor.  The entries for 0..d-1 are filled
+    in ascending order first, so each is found in the cache by the next and
+    the recursion is never more than one level deep.
     """
-    one = LaurentPolynomial.one()
-    result = LaurentPolynomial.term(r * (N - 1 - d) if sign > 0 else -r * (N - 1))
+    if d == 0:
+        return LaurentPolynomial.term(sign * r * (N - 1))
     for i in range(d):
-        result = result * (one - LaurentPolynomial.term(sign * (N - 1 - r - i)))
-    return result
+        P = _eval_base(sign, r, i, N)
+    if sign > 0:
+        P = P.shifted(-r)
+    return P - P.shifted(sign * (N - r - d))
 
 
 # ---------------------------------------------------------------------------

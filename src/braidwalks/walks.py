@@ -10,7 +10,7 @@ series is sum_n E_N(C^n), which truncates at n = (m-1)(N-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations
 from typing import Mapping
 
@@ -66,45 +66,58 @@ def _moves(b: BraidWord, j: int, pos: int) -> tuple[tuple[str | None, int], ...]
     return ((None, pos),)
 
 
-def enumerate_paths(b: BraidWord, start: int) -> list[Path]:
-    """All paths from `start`, in depth-first order (jump before over).
+def _path_records(b: BraidWord, start: int) -> list[tuple]:
+    """(end, cells, footprint, letters) of every path from `start`, in
+    depth-first order (jump before over).
 
-    The search keeps its own stack, one entry per crossing entered, so its
-    depth is not bounded by the interpreter's recursion limit.  An entry
-    holds the remaining moves at its crossing and the number of letters
-    picked up before it; `cells` and `letters` are cut back to that depth
-    before each move is taken.
+    `cells` is the footprint as a bitmask, with bit (k - g)*m + p - 1 set
+    for the cell at gap g on position p, so that two paths meet exactly
+    when their masks do.  The search keeps its own stack, one entry per
+    crossing entered, so its depth is not bounded by the interpreter's
+    recursion limit.  An entry holds the remaining moves at its crossing,
+    the number of letters picked up before it and the cells used down to
+    it; `footprint` and `letters` are cut back to its depth before each
+    move is taken.
     """
-    if not 1 <= start <= b.strands:
-        raise ValueError(f"start strand {start} out of range")
-    k = len(b)
+    k, m = len(b), b.strands
     if k == 0:
-        return [Path(start, start, ((0, start),), ())]
-    results: list[Path] = []
-    cells: list[DiagramCell] = [(k, start)]
+        return [(start, 1 << start - 1, ((0, start),), ())]
+    records = []
+    footprint: list[DiagramCell] = [(k, start)]
     letters: list[tuple[int, str]] = []  # descending crossing index
-    stack = [(iter(_moves(b, k, start)), 0)]
+    stack = [(iter(_moves(b, k, start)), 0, 1 << start - 1)]
     while stack:
         depth = len(stack)
         j = k + 1 - depth  # the crossing the top entry chooses at
-        moves, n_letters = stack[-1]
+        moves, n_letters, cells = stack[-1]
         move = next(moves, None)
         if move is None:
             stack.pop()
             continue
         letter, nxt = move
-        del cells[depth:]
+        del footprint[depth:]
         del letters[n_letters:]
-        cells.append((j - 1, nxt))
+        footprint.append((j - 1, nxt))
+        cells |= 1 << depth * m + nxt - 1
         if letter is not None:
             letters.append((j, letter))
         if j > 1:
-            stack.append((iter(_moves(b, j - 1, nxt)), len(letters)))
+            stack.append((iter(_moves(b, j - 1, nxt)), len(letters), cells))
         else:
-            results.append(
-                Path(start, nxt, tuple(cells), tuple(reversed(letters)))
+            records.append(
+                (nxt, cells, tuple(footprint), tuple(reversed(letters)))
             )
-    return results
+    return records
+
+
+def enumerate_paths(b: BraidWord, start: int) -> list[Path]:
+    """All paths from `start`, in depth-first order (jump before over)."""
+    if not 1 <= start <= b.strands:
+        raise ValueError(f"start strand {start} out of range")
+    return [
+        Path(start, end, footprint, letters)
+        for end, _cells, footprint, letters in _path_records(b, start)
+    ]
 
 
 @dataclass(frozen=True)
@@ -154,13 +167,16 @@ def enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
 
     The walks come by size of J, then J, then the permutation of J, and
     within one (J, ends) pair in the order of the product of its path pools,
-    the pool of the last start varying fastest.  The paths are chosen start
-    by start, depth first.  With simple_only a path whose cells meet those
-    of the paths already chosen is skipped, and with it every completion of
-    that choice; a choice is simple exactly when no path meets an earlier
-    one, so this keeps the walks that Walk.is_simple keeps, in the same
-    order, and builds a Walk only for a complete choice.  The recursion is
-    one level per start, at most m - 1 deep.
+    the pool of the last start varying fastest.  The paths come from one
+    search per start (_path_records), each with its cells as a bitmask,
+    and are chosen start by start, depth first.  With simple_only a path
+    whose cells meet those of the paths already chosen (used & cells) is
+    skipped, and with it every completion of that choice; a choice is
+    simple exactly when no path meets an earlier one, so this keeps the
+    walks that Walk.is_simple keeps, in the same order.  A Walk is built
+    only for a complete choice, and a Path only for a path of a returned
+    walk, once, shared by every walk that uses it.  The recursion is one
+    level per start, at most m - 1 deep.
 
     The empty braid word is excluded by convention; its series is the
     constant 1 (unknot normalization).
@@ -168,24 +184,32 @@ def enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
     m = b.strands
     if len(b) == 0 or m < 2:
         return []
-    by_pair: dict[tuple[int, int], list[tuple[Path, frozenset[DiagramCell]]]] = {}
+    records = []  # (start, end, footprint, letters) of every pooled path
+    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (cells, index)
     for j in range(2, m + 1):
-        for path in enumerate_paths(b, j):
-            if path.end >= 2:
-                by_pair.setdefault((j, path.end), []).append((path, path.cells()))
+        for end, cells, footprint, letters in _path_records(b, j):
+            if end >= 2:
+                by_pair.setdefault((j, end), []).append((cells, len(records)))
+                records.append((j, end, footprint, letters))
+    paths: list[Path | None] = [None] * len(records)
     walks: list[Walk] = []
-    chosen: list[Path] = []
+    chosen: list[int] = []
 
-    def extend(pools, used: frozenset[DiagramCell]) -> None:
+    def path(i: int) -> Path:
+        if paths[i] is None:
+            paths[i] = Path(*records[i])
+        return paths[i]
+
+    def extend(pools, used: int) -> None:
         last = len(pools) == 1
-        for path, cells in pools[0]:
-            if simple_only and not used.isdisjoint(cells):
+        for cells, i in pools[0]:
+            if simple_only and used & cells:
                 continue
-            chosen.append(path)
+            chosen.append(i)
             if last:
-                walks.append(Walk(tuple(chosen)))
+                walks.append(Walk(tuple(map(path, chosen))))
             else:
-                extend(pools[1:], used | cells if simple_only else used)
+                extend(pools[1:], used | cells)
             chosen.pop()
 
     candidates = range(2, m + 1)
@@ -194,7 +218,7 @@ def enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
             for ends in permutations(J):
                 pools = [by_pair.get(pair, []) for pair in zip(J, ends)]
                 if all(pools):
-                    extend(pools, frozenset())
+                    extend(pools, 0)
     return walks
 
 
@@ -291,8 +315,8 @@ _MERGE_EXP_BOUND = max(
 def _merge_keys(k1: CanonicalKey, k2: CanonicalKey) -> tuple[CanonicalKey, int]:
     """Merge two canonical keys (left operand first); returns (key, q-shift).
 
-    An empty key is returned as the other one with shift 0: the first path
-    of every walk merges into the empty key.
+    An empty key is returned as the other one with shift 0: it is the key
+    of the unit of op_mul and of a path with no letters.
     """
     if not k1 or not k2:
         return k1 + k2, 0
@@ -341,28 +365,33 @@ def op_mul(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomial:
     return result
 
 
-def _walk_term(walk: Walk, b: BraidWord) -> tuple[CanonicalKey, LaurentPolynomial]:
-    """The key and coefficient of walk_weight(walk, b).
+def _path_key(path: Path, b: BraidWord) -> CanonicalKey:
+    """A path picks up at most one letter per crossing, so its letters give
+    a canonical key directly, one entry per crossing, each from
+    qops._LETTER."""
+    return tuple((j, b.letters[j - 1][1], *_LETTER[x]) for j, x in path.letters)
 
-    A path picks up at most one letter per crossing, so its letters give a
-    canonical key directly, one entry per crossing, each from qops._LETTER.
+
+def _walk_term(
+    walk: Walk, path_keys: list[CanonicalKey]
+) -> tuple[CanonicalKey, LaurentPolynomial]:
+    """The key and coefficient of walk_weight(walk, b), from the _path_key
+    of each of its paths.
+
     At each crossing the walk's word is the concatenation of its paths'
     letters in ascending start order, and the canonical term of a
     concatenation is the product of the canonical terms of its parts, so
     the term of a word is its letters' entries folded through _merge_keys,
     with the shifts of qops._MERGE_EXP.  A crossing only one path meets
     adds no shift.  So the weight is the product of the path keys in
-    ascending start order, folded through _merge_keys; the tests compare it
-    with whole words normal-ordered letter by letter
-    (tests/corpus_util.from_words).
+    ascending start order, folded through _merge_keys from the first path's
+    key; the tests compare it with whole words normal-ordered letter by
+    letter (tests/corpus_util.from_words).
     """
     e = len(walk.paths) + walk.inversions()
     sign = (-1) ** (e + 1)
-    key: CanonicalKey = ()
-    for path in walk.paths:
-        path_key = tuple(
-            (j, b.letters[j - 1][1], *_LETTER[x]) for j, x in path.letters
-        )
+    key, *rest = path_keys
+    for path_key in rest:
         key, shift = _merge_keys(key, path_key)
         e += shift
     return key, LaurentPolynomial.term(e, sign)
@@ -374,16 +403,25 @@ def walk_weight(walk: Walk, b: BraidWord) -> OperatorPolynomial:
     At each crossing the letters of the paths are appended in ascending
     start order, leftmost path first; the result is a one-term polynomial.
     """
-    key, coeff = _walk_term(walk, b)
+    key, coeff = _walk_term(walk, [_path_key(p, b) for p in walk.paths])
     return OperatorPolynomial({key: coeff})
 
 
 def walk_sum_C(b: BraidWord) -> OperatorPolynomial:
     """The polynomial C: sum of the weights of the simple walks with J in
-    {2..m}."""
+    {2..m}.
+
+    enumerate_walks builds each Path once and shares it between walks, so
+    while they are alive the id of a Path names one path, and its key is
+    computed once.
+    """
     out: dict[CanonicalKey, LaurentPolynomial] = {}
+    keys: dict[int, CanonicalKey] = {}
     for walk in enumerate_walks(b, simple_only=True):
-        key, c = _walk_term(walk, b)
+        for p in walk.paths:
+            if id(p) not in keys:
+                keys[id(p)] = _path_key(p, b)
+        key, c = _walk_term(walk, [keys[id(p)] for p in walk.paths])
         n = out.get(key)
         out[key] = c if n is None else n + c
     return OperatorPolynomial(out)
@@ -401,9 +439,34 @@ def evaluate_polynomial(p: OperatorPolynomial, N: int) -> LaurentPolynomial:
     )
 
 
-def _is_dead(key: CanonicalKey, N: int) -> bool:
-    """Some crossing of the key has r < N <= r + d, so E_N of it is zero."""
-    return any(r < N <= r + d for _j, _sign, _s, r, d in key)
+def _dead_partners(C: OperatorPolynomial, N: int):
+    """The dead-partner index of series_terms.
+
+    Returns the slots (crossing, sign) of C in ascending order and
+    dead(i, r, d), the bitmask of the terms t of C (bit t for the t-th term
+    in iteration order) with r + r_t < N <= r + r_t + d + d_t at slot i,
+    where a term with no entry there has (r_t, d_t) = (0, 0).  dead is
+    memoized, so each (slot, r, d) that a power key takes is worked out
+    once per call.
+    """
+    slots = sorted({(j, sign) for key in C._terms for j, sign, *_ in key})
+    index = {slot: i for i, slot in enumerate(slots)}
+    fields: list[dict[tuple[int, int], int]] = [{} for _ in slots]
+    for t, key in enumerate(C._terms):
+        for j, sign, _s, r, d in key:
+            at = fields[index[j, sign]]
+            at[r, d] = at.get((r, d), 0) | 1 << t
+    everyone = (1 << len(C._terms)) - 1
+    for at in fields:
+        # the groups of one slot are disjoint, so their sum is their union
+        at[0, 0] = at.get((0, 0), 0) | everyone ^ sum(at.values())
+
+    @cache
+    def dead(i: int, r: int, d: int) -> int:
+        at = fields[i].items()
+        return sum(t for (rt, dt), t in at if r + rt < N <= r + rt + d + dt)
+
+    return slots, dead
 
 
 def series_terms(
@@ -414,33 +477,43 @@ def series_terms(
     Precondition: C is the walk polynomial of a braid whose closure is a
     knot (walk_sum_C, or C_qdet, which gives the same polynomial).
 
-    Each power drops its dead keys, those with a crossing where
-    r < N <= r + d; _eval_base has the factor 1 - q^0 there, so a dead key
-    evaluates to zero.  Read a key of C^n as a stack of n simple walks and
-    count the paths of the stack through each cell.  At crossing j the
-    over-strand entry cell carries r + d paths (its a and c letters) and
-    the under-strand entry cell s (its b letters); the cell the c letters
-    lead to carries r and the one the b letters lead to s + d; every other
-    cell passes its count straight on.  Each walk's ends permute its
-    starts, so the gap-0 and gap-k cells of a position carry the same
-    count, and c and b follow the strand.  Start at a cell used at least N
-    times and follow the strand of the closure: each step either meets a
-    crossing with r < N <= r + d or reaches another cell used at least N
-    times.  The closure is a knot, so the strand would in the end reach the
-    gap-k cell of strand 1, which no walk uses (J lies in {2..m}); a dead
-    crossing comes first.  The converse is immediate, so a key is dead if
-    and only if its stack uses some cell N times.  Multiplying by C only
-    raises cell counts, so every descendant of a dead key is dead: the
-    pruned power is exactly the live part of C^n, and E_N of it is
-    E_N(C^n).  The (m-1)(N-1) truncation of evaluate_series is the case of
-    a gap-k cell used N times.
+    Dead keys.  A key is dead when it has a crossing with r < N <= r + d;
+    _eval_base has the factor 1 - q^0 there, so a dead key evaluates to
+    zero.  Read a key of C^n as a stack of n simple walks and count the
+    paths of the stack through each cell.  At crossing j the over-strand
+    entry cell carries r + d paths (its a and c letters) and the
+    under-strand entry cell s (its b letters); the cell the c letters lead
+    to carries r and the one the b letters lead to s + d; every other cell
+    passes its count straight on.  Each walk's ends permute its starts, so
+    the gap-0 and gap-k cells of a position carry the same count, and c and
+    b follow the strand.  Start at a cell used at least N times and follow
+    the strand of the closure: each step either meets a crossing with
+    r < N <= r + d or reaches another cell used at least N times.  The
+    closure is a knot, so the strand would in the end reach the gap-k cell
+    of strand 1, which no walk uses (J lies in {2..m}); a dead crossing
+    comes first.  The converse is immediate, so a key is dead if and only
+    if its stack uses some cell N times.  Multiplying by C only raises cell
+    counts, so every descendant of a dead key is dead: the live part of C^n
+    is the live part of the products of the live part of C^(n-1) with C,
+    and E_N of it is E_N(C^n).  The (m-1)(N-1) truncation of
+    evaluate_series is the case of a gap-k cell used N times.
+
+    Dead partners.  No dead product is formed.  A product adds keys field
+    by field, so x*t is dead exactly when at some slot i
+    r_x + r_t < N <= r_x + r_t + d_x + d_t, a test on slot i of x and of t
+    alone.  _dead_partners keeps, per slot and per (r, d) a key takes there
+    ((0, 0) where it has no entry), the bitmask of the terms t of C that
+    fail it, and each key of a power is multiplied only by the terms
+    outside the union of its slots' masks.  So exactly the live products
+    are formed, whatever C is: the power equals op_mul followed by dropping
+    the dead keys, which the tests check.  Cancelled keys are dropped.
 
     The powers stay packed from one product to the next (Kronecker
-    substitution, Harvey, arXiv:0712.4046); each surviving key is decoded
-    once per power, for the prune and for evaluate_polynomial.  The product
-    is the one op_mul computes, key by key: with M the largest field of C,
-    every field of a pruned C^n is at most n*M, since a product adds fields
-    and the prune only removes keys.
+    substitution, Harvey, arXiv:0712.4046); each key kept is decoded once
+    per power, for its dead partners and for evaluate_polynomial.  The
+    product is the one op_mul computes, key by key: with M the largest
+    field of C, every field of a pruned C^n is at most n*M, since a product
+    adds fields and the prune only removes keys.
 
     Keys.  C has L slots, one per (crossing, sign) it uses, and a key is
     one integer holding s, r and d of each slot in fields of
@@ -472,7 +545,7 @@ def series_terms(
     packed zero is the zero polynomial, so cancelled keys are dropped.
     """
     terms = [LaurentPolynomial.one()]
-    slots = sorted({(j, sign) for key in C._terms for j, sign, *_ in key})
+    slots, partners = _dead_partners(C, N)
     if n_max >= 2:
         for (j, _), (j2, _) in zip(slots, slots[1:]):
             if j == j2:
@@ -499,13 +572,36 @@ def series_terms(
             Y += (alpha * s) << V * (2 * L - 1 - 2 * i)
             Y += (beta * s + gamma * r) << V * (2 * L - 2 - 2 * i)
         factors.append((K, *coeff.packed(B), Y))
+    everyone = (1 << len(factors)) - 1
 
-    # key -> (valuation - E*M * sum(x), packed coefficient, packed x)
-    power = {0: (0, 1, 0)}
+    def decoded(K: int) -> tuple[CanonicalKey, int, int, int]:
+        """The canonical key of K, its packed x, sum(x) and the union of
+        the dead partners of its slots."""
+        entries = []
+        X = xsum = dead = 0
+        rest = K
+        for i, (j, sign) in enumerate(slots):
+            f = rest & slot_mask
+            rest >>= 3 * W
+            r, d = f >> W & field_mask, f >> 2 * W
+            dead |= partners(i, r, d)
+            if f:
+                entries.append((j, sign, f & field_mask, r, d))
+                X |= r << V * 2 * i | d << V * (2 * i + 1)
+                xsum += r + d
+        return tuple(entries), X, xsum, dead
+
+    # key -> (valuation - E*M * sum(x), packed coefficient, packed x, dead
+    # partners)
+    power = {0: (0, 1, 0, decoded(0)[3])}
     for _ in range(n_max):
         product: dict[int, tuple[int, int]] = {}
-        for K1, (v1, c1, X1) in power.items():
-            for K2, v2, c2, Y2 in factors:
+        for K1, (v1, c1, X1, dead) in power.items():
+            partners_left = everyone ^ dead
+            while partners_left:
+                bit = partners_left & -partners_left
+                partners_left ^= bit
+                K2, v2, c2, Y2 = factors[bit.bit_length() - 1]
                 K = K1 + K2
                 v = v1 + v2 + (X1 * Y2 >> top & digit_mask)
                 c = c1 * c2
@@ -522,24 +618,9 @@ def series_terms(
         for K, (v, c) in product.items():
             if not c:
                 continue
-            entries = []
-            X = xsum = 0
-            rest = K
-            for i, (j, sign) in enumerate(slots):
-                if not rest:
-                    break
-                f = rest & slot_mask
-                rest >>= 3 * W
-                if f:
-                    r, d = f >> W & field_mask, f >> 2 * W
-                    entries.append((j, sign, f & field_mask, r, d))
-                    X |= r << V * 2 * i | d << V * (2 * i + 1)
-                    xsum += r + d
-            key = tuple(entries)
-            if _is_dead(key, N):
-                continue
+            key, X, xsum, dead = decoded(K)
             live[key] = LaurentPolynomial.unpacked(c, B, v)
-            power[K] = (v - off * xsum, c, X)
+            power[K] = (v - off * xsum, c, X, dead)
         p = OperatorPolynomial.__new__(OperatorPolynomial)
         p._terms = live
         terms.append(evaluate_polynomial(p, N))

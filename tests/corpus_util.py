@@ -2,7 +2,8 @@
 the test suite.
 
 The references are the direct, unoptimized forms of what the package
-computes faster: walks by product and filter, weights by normal ordering
+computes faster: paths by replaying each choice of letters move by move,
+walks by product and filter, weights by normal ordering
 whole words letter by letter (from_words), rho as the product of full local
 matrices, and C_qdet as quantum determinants summed over permutations
 (det_q).  They live only here; the package builds neither local matrices,
@@ -27,15 +28,33 @@ from braidwalks import (
     LaurentPolynomial,
     OperatorMatrix,
     OperatorPolynomial,
+    Path,
     Walk,
-    enumerate_paths,
     enumerate_walks,
     is_knot_closure,
     op_mul,
     walk_weight,
 )
 from braidwalks.qops import _LETTER, _MERGE_EXP, _eval_base
-from braidwalks.walks import CanonicalKey, _is_dead, _merge_keys, inversions
+from braidwalks.walks import CanonicalKey, _merge_keys, inversions
+
+
+def _is_dead(key: CanonicalKey, N: int) -> bool:
+    """Some crossing of the key has r < N <= r + d, so E_N of it is zero:
+    the prune of reference_series_terms, and the test the dead-partner index
+    of walks.series_terms is checked against."""
+    return any(r < N <= r + d for _j, _sign, _s, r, d in key)
+
+
+def reference_eval_base(sign: int, r: int, d: int, N: int) -> LaurentPolynomial:
+    """qops._eval_base as its product formula: q^(r(N-1-d)) for sign +1 and
+    q^(-r(N-1)) for sign -1, times 1 - q^(sign (N-1-r-i)) for each i in
+    0..d-1, multiplied out one factor at a time."""
+    one = LaurentPolynomial.one()
+    result = LaurentPolynomial.term(r * (N - 1 - d) if sign > 0 else -r * (N - 1))
+    for i in range(d):
+        result = result * (one - LaurentPolynomial.term(sign * (N - 1 - r - i)))
+    return result
 
 
 def from_words(
@@ -219,16 +238,58 @@ def cancellation_pairing(b: BraidWord) -> bool:
     return total_all == total_simple
 
 
+def reference_enumerate_paths(b: BraidWord, start: int) -> list[Path]:
+    """enumerate_paths by replaying each sequence of a/c choices move by
+    move from the top of the braid.
+
+    The move rule is restated from the paper rather than read from the
+    package: at a crossing of sign +1 strand l passes over l+1, at sign -1
+    strand l+1 passes over l; a path on the over strand picks up a (and
+    stays) or c (and drops to the under strand), one on the under strand
+    picks up b and moves to the over strand, and any other path goes
+    straight on.  A replay that runs out of choices at an over strand is
+    put back as its two extensions, a first, so the sequences are replayed
+    in the depth-first order of enumerate_paths.
+    """
+    k = len(b)
+    paths: list[Path] = []
+    pending: list[tuple[str, ...]] = [()]
+    while pending:
+        choices = pending.pop()
+        pos, used = start, 0
+        cells = [(k, start)]
+        letters = []
+        for j in range(k, 0, -1):
+            l, sign = b.letters[j - 1]
+            over, under = (l, l + 1) if sign > 0 else (l + 1, l)
+            if pos == over:
+                if used == len(choices):
+                    pending += [choices + ("c",), choices + ("a",)]
+                    break
+                letter = choices[used]
+                used += 1
+                letters.append((j, letter))
+                pos = over if letter == "a" else under
+            elif pos == under:
+                letters.append((j, "b"))
+                pos = over
+            cells.append((j - 1, pos))
+        else:
+            paths.append(Path(start, pos, tuple(cells), tuple(reversed(letters))))
+    return paths
+
+
 def reference_enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
     """enumerate_walks by building every candidate walk, the product of its
-    path pools, and filtering with Walk.is_simple: the reference the
-    depth-first search of enumerate_walks is compared against."""
+    path pools (from reference_enumerate_paths), and filtering with
+    Walk.is_simple: the reference the depth-first search of enumerate_walks
+    is compared against."""
     m = b.strands
     if len(b) == 0 or m < 2:
         return []
     by_pair: dict[tuple[int, int], list] = {}
     for j in range(2, m + 1):
-        for path in enumerate_paths(b, j):
+        for path in reference_enumerate_paths(b, j):
             if path.end >= 2:
                 by_pair.setdefault((j, path.end), []).append(path)
     walks: list[Walk] = []

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from braidwalks import (
 )
 from braidwalks import qops, walks
 from braidwalks.walks import evaluate_polynomial
-from corpus_util import from_words, merged_word
+from corpus_util import from_words, merged_word, reference_eval_base
 
 ONE = LaurentPolynomial.one()
 Q = LaurentPolynomial.term(1)
@@ -94,6 +95,33 @@ class TestEvalCrossing:
     def test_rejects_small_N(self):
         with pytest.raises(ValueError):
             evaluate_polynomial(term(1, 0, 0, 0), 1)
+
+    def test_factor_matches_product_formula(self):
+        # built one factor at a time from the entry for d - 1, from a cold
+        # cache and from one filled in another order
+        for cold in (True, False):
+            for N in range(2, 14):
+                for sign in (1, -1):
+                    for r in range(14):
+                        for d in range(14):
+                            if cold:
+                                qops._eval_base.cache_clear()
+                            assert qops._eval_base(
+                                sign, r, d, N
+                            ) == reference_eval_base(sign, r, d, N), (sign, r, d, N)
+
+    def test_large_factor_is_not_deep_recursion(self):
+        # d = 150 from a cold cache: the entries below it are filled in
+        # ascending order, so the recursion stays one level deep
+        qops._eval_base.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            values = {sign: qops._eval_base(sign, 3, 150, 160) for sign in (1, -1)}
+        finally:
+            sys.setrecursionlimit(limit)
+        for sign, value in values.items():
+            assert value == reference_eval_base(sign, 3, 150, 160)
 
 
 class TestOracle:

@@ -17,12 +17,14 @@ from braidwalks import (
     walk_weight,
 )
 from braidwalks import walks
-from braidwalks.walks import _is_dead, _merge_keys, evaluate_polynomial
+from braidwalks.walks import _dead_partners, _merge_keys, evaluate_polynomial
 from corpus_util import (
+    _is_dead,
     cancellation_pairing,
     differential_words,
     from_words,
     knot_closure_words,
+    reference_enumerate_paths,
     reference_enumerate_walks,
     reference_evaluate_polynomial,
     reference_series_terms,
@@ -124,13 +126,18 @@ class TestWalks:
 
 
 class TestEnumerationReferences:
-    """enumerate_walks, walk_weight and walk_sum_C against the
-    product-and-filter enumeration and the normal-ordered weights."""
+    """enumerate_paths, enumerate_walks, walk_weight and walk_sum_C against
+    the move-by-move replay of paths, the product-and-filter enumeration and
+    the normal-ordered weights."""
 
     def test_differential_words(self):
         words = differential_words()
         assert len(words) == 581
         for b in words:
+            for start in range(1, b.strands + 1):
+                assert enumerate_paths(b, start) == reference_enumerate_paths(
+                    b, start
+                ), (b.serialize(), start)
             C = walk_sum_C(b)
             for simple_only in (True, False):
                 got = enumerate_walks(b, simple_only)
@@ -428,6 +435,25 @@ def term(key, coeff):
     return OperatorPolynomial({key: LaurentPolynomial(coeff)})
 
 
+def assert_dead_partners_exact(C, N, n_max):
+    """For every key x of every pruned power C^0..C^n_max and every term t
+    of C, the dead-partner index of series_terms marks t for x exactly when
+    the product x t is dead."""
+    slots, partners = _dead_partners(C, N)
+    powers = [OperatorPolynomial.one()]
+    reference_series_terms(C, N, n_max, powers)
+    keys = list(C.terms)
+    for power in powers:
+        for x in power.terms:
+            at_slot = {(j, sign): (r, d) for j, sign, _s, r, d in x}
+            dead = 0
+            for i, slot in enumerate(slots):
+                dead |= partners(i, *at_slot.get(slot, (0, 0)))
+            for t, key in enumerate(keys):
+                expected = _is_dead(_merge_keys(x, key)[0], N)
+                assert bool(dead >> t & 1) == expected, (x, key)
+
+
 class TestPackedPowers:
     """The packed power loop of series_terms against the dict-loop
     reference_series_terms, power by power."""
@@ -437,11 +463,34 @@ class TestPackedPowers:
     def test_matches_reference(self, C, N, n_max):
         assert_matches_reference(C, N, n_max)
 
+    @settings(max_examples=200, deadline=None)
+    @given(synthetic_C(), st.integers(2, 5), st.integers(0, 4))
+    def test_dead_partners_synthetic(self, C, N, n_max):
+        assert_dead_partners_exact(C, N, n_max)
+
+    @pytest.mark.parametrize(
+        "text,strands",
+        [
+            ("1 -2 1 -2", 3),
+            ("1 2 1 2 1 2 1 2", 3),
+            ("1 1 1 2 -1 2", 3),
+            ("1 2 3 1 2 3 1 2 3", 4),
+        ],
+    )
+    def test_dead_partners_knots(self, text, strands):
+        C = walk_sum_C(parse_braid(text, strands))
+        for N in (2, 3, 4):
+            assert_dead_partners_exact(C, N, (strands - 1) * (N - 1))
+
     def test_knot_C(self):
         for text, strands, N in [
             ("1 -2 3 -4 1 -2 3 -4", 5, 4),
             ("1 2 3 1 2 3 1 2 3", 4, 4),
             ("1 -2 1 -2", 3, 5),
+            # the build-C anchor (|C| = 587) and a 19-crossing 4-strand word
+            # (|C| = 466): about 1-2 s each for the reference
+            ("-1 -1 -1 2 -2 -2 -1 -2 -1 1 -2 2 -1 -1 2 1 2 -2 -1 -1", 3, 2),
+            ("-2 2 -3 2 3 3 -1 -2 3 -1 -2 -2 3 -1 -2 -1 3 -1 -3", 4, 2),
         ]:
             C = walk_sum_C(parse_braid(text, strands))
             assert_matches_reference(C, N, (strands - 1) * (N - 1))
