@@ -54,60 +54,64 @@ def inversions(seq: tuple[int, ...]) -> int:
     )
 
 
-def _moves(b: BraidWord, j: int, pos: int) -> tuple[tuple[str | None, int], ...]:
-    """(letter, next position) choices at crossing j, which lies between
-    gap j and gap j - 1, for a path at `pos`; the jump `a` comes first."""
-    l, sign = b.letters[j - 1]
-    over, under = (l, l + 1) if sign > 0 else (l + 1, l)
-    if pos == over:
-        return (("a", over), ("c", under))
-    if pos == under:
-        return (("b", over),)
-    return ((None, pos),)
+def _path_records(b: BraidWord, starts) -> list[list[tuple]]:
+    """For each of `starts`, (end, cells, footprint, letters) of every path
+    from it, in depth-first order (the jump a before c).
 
-
-def _path_records(b: BraidWord, start: int) -> list[tuple]:
-    """(end, cells, footprint, letters) of every path from `start`, in
-    depth-first order (jump before over).
-
-    `cells` is the footprint as a bitmask, with bit (k - g)*m + p - 1 set
-    for the cell at gap g on position p, so that two paths meet exactly
-    when their masks do.  The search keeps its own stack, one entry per
-    crossing entered, so its depth is not bounded by the interpreter's
-    recursion limit.  An entry holds the remaining moves at its crossing,
-    the number of letters picked up before it and the cells used down to
-    it; `footprint` and `letters` are cut back to its depth before each
-    move is taken.
+    At crossing j, which lies between gap j and gap j - 1, a path on the
+    over strand picks up a and stays or c and drops to the under strand, a
+    path on the under strand picks up b and moves to the over strand, and
+    any other path goes straight on.  `steps` tables these moves once per
+    crossing and position, each as its letter entry (or None), the cell it
+    reaches and that cell's bit in `cells`: bit (k - g)*m + p - 1 for the
+    cell at gap g on position p, so that two paths meet exactly when their
+    masks do.  The search keeps its own stack, one entry per crossing
+    entered, so its depth is not bounded by the interpreter's recursion
+    limit.  An entry holds the remaining moves at its crossing, the number
+    of letters picked up before it and the cells used down to it;
+    `footprint` and `letters` are cut back to its depth before each move is
+    taken.
     """
     k, m = len(b), b.strands
     if k == 0:
-        return [(start, 1 << start - 1, ((0, start),), ())]
-    records = []
-    footprint: list[DiagramCell] = [(k, start)]
-    letters: list[tuple[int, str]] = []  # descending crossing index
-    stack = [(iter(_moves(b, k, start)), 0, 1 << start - 1)]
-    while stack:
-        depth = len(stack)
-        j = k + 1 - depth  # the crossing the top entry chooses at
-        moves, n_letters, cells = stack[-1]
-        move = next(moves, None)
-        if move is None:
-            stack.pop()
-            continue
-        letter, nxt = move
-        del footprint[depth:]
-        del letters[n_letters:]
-        footprint.append((j - 1, nxt))
-        cells |= 1 << depth * m + nxt - 1
-        if letter is not None:
-            letters.append((j, letter))
-        if j > 1:
-            stack.append((iter(_moves(b, j - 1, nxt)), len(letters), cells))
-        else:
-            records.append(
-                (nxt, cells, tuple(footprint), tuple(reversed(letters)))
-            )
-    return records
+        return [[(s, 1 << s - 1, ((0, s),), ())] for s in starts]
+    steps: list[list[tuple]] = [[]]
+    for j, (l, sign) in enumerate(b.letters, 1):
+        over, under = (l, l + 1) if sign > 0 else (l + 1, l)
+        choices = [((None, p),) for p in range(m + 1)]
+        choices[over], choices[under] = (("a", over), ("c", under)), (("b", over),)
+        row = (k + 1 - j) * m - 1
+        steps.append([
+            tuple(((j, x) if x else None, (j - 1, q), 1 << row + q) for x, q in at)
+            for at in choices
+        ])
+    out = []
+    for start in starts:
+        records = []
+        footprint: list[DiagramCell] = [(k, start)]
+        letters: list[tuple[int, str]] = []  # descending crossing index
+        stack = [(iter(steps[k][start]), 0, 1 << start - 1)]
+        while stack:
+            depth = len(stack)
+            moves, n_letters, cells = stack[-1]
+            move = next(moves, None)
+            if move is None:
+                stack.pop()
+                continue
+            entry, cell, bit = move
+            del footprint[depth:]
+            del letters[n_letters:]
+            footprint.append(cell)
+            cells |= bit
+            if entry:
+                letters.append(entry)
+            gap, pos = cell
+            if gap:
+                stack.append((iter(steps[gap][pos]), len(letters), cells))
+            else:
+                records.append((pos, cells, tuple(footprint), tuple(reversed(letters))))
+        out.append(records)
+    return out
 
 
 def enumerate_paths(b: BraidWord, start: int) -> list[Path]:
@@ -116,7 +120,7 @@ def enumerate_paths(b: BraidWord, start: int) -> list[Path]:
         raise ValueError(f"start strand {start} out of range")
     return [
         Path(start, end, footprint, letters)
-        for end, _cells, footprint, letters in _path_records(b, start)
+        for end, _cells, footprint, letters in _path_records(b, [start])[0]
     ]
 
 
@@ -186,19 +190,15 @@ def enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
         return []
     records = []  # (start, end, footprint, letters) of every pooled path
     by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (cells, index)
-    for j in range(2, m + 1):
-        for end, cells, footprint, letters in _path_records(b, j):
+    starts = range(2, m + 1)
+    for j, found in zip(starts, _path_records(b, starts)):
+        for end, cells, footprint, letters in found:
             if end >= 2:
                 by_pair.setdefault((j, end), []).append((cells, len(records)))
                 records.append((j, end, footprint, letters))
-    paths: list[Path | None] = [None] * len(records)
+    path = cache(lambda i: Path(*records[i]))  # built on first use, once
     walks: list[Walk] = []
     chosen: list[int] = []
-
-    def path(i: int) -> Path:
-        if paths[i] is None:
-            paths[i] = Path(*records[i])
-        return paths[i]
 
     def extend(pools, used: int) -> None:
         last = len(pools) == 1
@@ -212,9 +212,8 @@ def enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
                 extend(pools[1:], used | cells)
             chosen.pop()
 
-    candidates = range(2, m + 1)
     for size in range(1, m):
-        for J in combinations(candidates, size):
+        for J in combinations(starts, size):
             for ends in permutations(J):
                 pools = [by_pair.get(pair, []) for pair in zip(J, ends)]
                 if all(pools):
@@ -374,9 +373,9 @@ def _path_key(path: Path, b: BraidWord) -> CanonicalKey:
 
 def _walk_term(
     walk: Walk, path_keys: list[CanonicalKey]
-) -> tuple[CanonicalKey, LaurentPolynomial]:
-    """The key and coefficient of walk_weight(walk, b), from the _path_key
-    of each of its paths.
+) -> tuple[CanonicalKey, int, int]:
+    """The key of walk_weight(walk, b) and its coefficient as (e, sign) for
+    sign * q^e, from the _path_key of each of its paths.
 
     At each crossing the walk's word is the concatenation of its paths'
     letters in ascending start order, and the canonical term of a
@@ -394,7 +393,7 @@ def _walk_term(
     for path_key in rest:
         key, shift = _merge_keys(key, path_key)
         e += shift
-    return key, LaurentPolynomial.term(e, sign)
+    return key, e, sign
 
 
 def walk_weight(walk: Walk, b: BraidWord) -> OperatorPolynomial:
@@ -403,8 +402,8 @@ def walk_weight(walk: Walk, b: BraidWord) -> OperatorPolynomial:
     At each crossing the letters of the paths are appended in ascending
     start order, leftmost path first; the result is a one-term polynomial.
     """
-    key, coeff = _walk_term(walk, [_path_key(p, b) for p in walk.paths])
-    return OperatorPolynomial({key: coeff})
+    key, e, sign = _walk_term(walk, [_path_key(p, b) for p in walk.paths])
+    return OperatorPolynomial({key: LaurentPolynomial.term(e, sign)})
 
 
 def walk_sum_C(b: BraidWord) -> OperatorPolynomial:
@@ -413,18 +412,18 @@ def walk_sum_C(b: BraidWord) -> OperatorPolynomial:
 
     enumerate_walks builds each Path once and shares it between walks, so
     while they are alive the id of a Path names one path, and its key is
-    computed once.
+    computed once.  The coefficients are summed as integers per exponent.
     """
-    out: dict[CanonicalKey, LaurentPolynomial] = {}
+    out: dict[CanonicalKey, dict[int, int]] = {}
     keys: dict[int, CanonicalKey] = {}
     for walk in enumerate_walks(b, simple_only=True):
         for p in walk.paths:
             if id(p) not in keys:
                 keys[id(p)] = _path_key(p, b)
-        key, c = _walk_term(walk, [keys[id(p)] for p in walk.paths])
-        n = out.get(key)
-        out[key] = c if n is None else n + c
-    return OperatorPolynomial(out)
+        key, e, sign = _walk_term(walk, [keys[id(p)] for p in walk.paths])
+        at = out.setdefault(key, {})
+        at[e] = at.get(e, 0) + sign
+    return OperatorPolynomial({k: LaurentPolynomial(c) for k, c in out.items()})
 
 
 def evaluate_polynomial(p: OperatorPolynomial, N: int) -> LaurentPolynomial:
