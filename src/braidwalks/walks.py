@@ -443,10 +443,12 @@ def _dead_partners(C: OperatorPolynomial, N: int):
 
     Returns the slots (crossing, sign) of C in ascending order and
     dead(i, r, d), the bitmask of the terms t of C (bit t for the t-th term
-    in iteration order) with r + r_t < N <= r + r_t + d + d_t at slot i,
-    where a term with no entry there has (r_t, d_t) = (0, 0).  dead is
-    memoized, so each (slot, r, d) that a power key takes is worked out
-    once per call.
+    in iteration order) with r + r_t < N <= r + r_t + d + d_t at slot i.
+    A term with no entry at slot i, or one with r_t = d_t = 0 there, makes
+    the slot dead only for a key that is dead there already, so only the
+    terms with an (r_t, d_t) there are read, grouped by it; the keys asked
+    about are live.  dead is memoized, so each (slot, r, d) that a power
+    key takes is worked out once per call.
     """
     slots = sorted({(j, sign) for key in C._terms for j, sign, *_ in key})
     index = {slot: i for i, slot in enumerate(slots)}
@@ -455,10 +457,6 @@ def _dead_partners(C: OperatorPolynomial, N: int):
         for j, sign, _s, r, d in key:
             at = fields[index[j, sign]]
             at[r, d] = at.get((r, d), 0) | 1 << t
-    everyone = (1 << len(C._terms)) - 1
-    for at in fields:
-        # the groups of one slot are disjoint, so their sum is their union
-        at[0, 0] = at.get((0, 0), 0) | everyone ^ sum(at.values())
 
     @cache
     def dead(i: int, r: int, d: int) -> int:
@@ -503,7 +501,8 @@ def series_terms(
     alone.  _dead_partners keeps, per slot and per (r, d) a key takes there
     ((0, 0) where it has no entry), the bitmask of the terms t of C that
     fail it, and each key of a power is multiplied only by the terms
-    outside the union of its slots' masks.  So exactly the live products
+    outside the union of its slots' masks.  Every key of a power is live,
+    so a term adds nothing at a slot where it has r_t = d_t = 0.  So exactly the live products
     are formed, whatever C is: the power equals op_mul followed by dropping
     the dead keys, which the tests check.  Cancelled keys are dropped.
 
