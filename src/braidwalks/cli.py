@@ -65,7 +65,7 @@ def _dispatch(args: argparse.Namespace) -> str:
     if args.subcommand == "walks":
         walks = enumerate_walks(b, simple_only=not args.all)
         dump = [
-            {**walk.to_json(), "weight": walk_weight(walk, b).to_json()}
+            {**walk.to_json(), "weight": walk_weight(walk).to_json()}
             for walk in walks
         ]
         return json.dumps(dump, sort_keys=True)

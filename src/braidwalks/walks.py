@@ -19,21 +19,35 @@ from .laurent import LaurentPolynomial
 from .qops import _LETTER, _MERGE_EXP, _eval_base
 
 
+# Canonical key of an operator monomial: a tuple of (crossing index, sign,
+# s, r, d) entries sorted by crossing index, with all q-shifts folded into
+# the coefficient.  This makes operator equality decidable (PBW basis per
+# crossing, tensor across crossings).
+CanonicalKey = tuple[tuple[int, int, int, int, int], ...]
+
+_LETTER_OF = {fields: x for x, fields in _LETTER.items()}
+
+
 @dataclass(frozen=True)
 class Path:
-    """A single bottom-to-top traversal with its cell footprint.
+    """A single bottom-to-top traversal with its cell footprint and key.
 
-    letters holds (crossing index, letter) pairs, ascending by index; a path
-    picks up at most one letter per crossing.
+    A path picks up at most one letter per crossing, so its word is a
+    canonical key as it stands: one entry (crossing index, sign, s, r, d)
+    per letter, from qops._LETTER, ascending by index.  The entries come
+    from the move table of _path_records, so every path that takes one
+    letter at one crossing holds the same entry object.
     """
 
     start: int
     end: int
     footprint: tuple[DiagramCell, ...]
-    letters: tuple[tuple[int, str], ...]
+    key: CanonicalKey
 
-    def cells(self) -> frozenset[DiagramCell]:
-        return frozenset(self.footprint)
+    @property
+    def letters(self) -> tuple[tuple[int, str], ...]:
+        """The key as (crossing index, letter) pairs."""
+        return tuple((e[0], _LETTER_OF[e[2:]]) for e in self.key)
 
     def to_json(self) -> dict:
         return {
@@ -55,22 +69,29 @@ def inversions(seq: tuple[int, ...]) -> int:
 
 
 def _path_records(b: BraidWord, starts) -> list[list[tuple]]:
-    """For each of `starts`, (end, cells, footprint, letters) of every path
-    from it, in depth-first order (the jump a before c).
+    """For each of `starts`, (end, cells, footprint, key) of every path
+    from it.
+
+    Paths come in depth-first order, a before c: at the first crossing
+    where two paths part, counting from crossing k down, the one that picks
+    up a and stays on the over strand comes before the one that picks up c
+    and drops to the under strand.
 
     At crossing j, which lies between gap j and gap j - 1, a path on the
     over strand picks up a and stays or c and drops to the under strand, a
     path on the under strand picks up b and moves to the over strand, and
     any other path goes straight on.  `steps` tables these moves once per
-    crossing and position, each as its letter entry (or None), the cell it
-    reaches and that cell's bit in `cells`: bit (k - g)*m + p - 1 for the
-    cell at gap g on position p, so that two paths meet exactly when their
-    masks do.  The search keeps its own stack, one entry per crossing
-    entered, so its depth is not bounded by the interpreter's recursion
-    limit.  An entry holds the remaining moves at its crossing, the number
-    of letters picked up before it and the cells used down to it;
-    `footprint` and `letters` are cut back to its depth before each move is
-    taken.
+    braid, each as the key entry (j, sign, *qops._LETTER[x]) of its letter
+    x (None for no letter), the cell it reaches and that cell's bit in
+    `cells`: bit (k - g)*m + p - 1 for the cell at gap g on position p, so
+    that two paths meet exactly when their masks do.  A crossing has three
+    entry objects, one per letter, and every key is made of them.  The
+    search keeps its own
+    stack, one entry per crossing entered, so its depth is not bounded by
+    the interpreter's recursion limit.  An entry holds the remaining moves
+    at its crossing, the number of letters picked up before it and the
+    cells used down to it; `footprint` and `key` are cut back to its depth
+    before each move is taken.
     """
     k, m = len(b), b.strands
     if k == 0:
@@ -78,18 +99,19 @@ def _path_records(b: BraidWord, starts) -> list[list[tuple]]:
     steps: list[list[tuple]] = [[]]
     for j, (l, sign) in enumerate(b.letters, 1):
         over, under = (l, l + 1) if sign > 0 else (l + 1, l)
+        entries = {x: (j, sign, *fields) for x, fields in _LETTER.items()}
         choices = [((None, p),) for p in range(m + 1)]
         choices[over], choices[under] = (("a", over), ("c", under)), (("b", over),)
         row = (k + 1 - j) * m - 1
         steps.append([
-            tuple(((j, x) if x else None, (j - 1, q), 1 << row + q) for x, q in at)
+            tuple((entries.get(x), (j - 1, q), 1 << row + q) for x, q in at)
             for at in choices
         ])
     out = []
     for start in starts:
         records = []
         footprint: list[DiagramCell] = [(k, start)]
-        letters: list[tuple[int, str]] = []  # descending crossing index
+        key: list[tuple[int, int, int, int, int]] = []  # descending crossing index
         stack = [(iter(steps[k][start]), 0, 1 << start - 1)]
         while stack:
             depth = len(stack)
@@ -100,27 +122,33 @@ def _path_records(b: BraidWord, starts) -> list[list[tuple]]:
                 continue
             entry, cell, bit = move
             del footprint[depth:]
-            del letters[n_letters:]
+            del key[n_letters:]
             footprint.append(cell)
             cells |= bit
             if entry:
-                letters.append(entry)
+                key.append(entry)
             gap, pos = cell
             if gap:
-                stack.append((iter(steps[gap][pos]), len(letters), cells))
+                stack.append((iter(steps[gap][pos]), len(key), cells))
             else:
-                records.append((pos, cells, tuple(footprint), tuple(reversed(letters))))
+                records.append((pos, cells, tuple(footprint), tuple(reversed(key))))
         out.append(records)
     return out
 
 
 def enumerate_paths(b: BraidWord, start: int) -> list[Path]:
-    """All paths from `start`, in depth-first order (jump before over)."""
+    """All paths from `start`.
+
+    Paths come in depth-first order, a before c: at the first crossing
+    where two paths part, counting from crossing k down, the one that picks
+    up a and stays on the over strand comes before the one that picks up c
+    and drops to the under strand.
+    """
     if not 1 <= start <= b.strands:
         raise ValueError(f"start strand {start} out of range")
     return [
-        Path(start, end, footprint, letters)
-        for end, _cells, footprint, letters in _path_records(b, [start])[0]
+        Path(start, end, footprint, key)
+        for end, _cells, footprint, key in _path_records(b, [start])[0]
     ]
 
 
@@ -152,10 +180,9 @@ class Walk:
         """No two paths traverse the same diagram cell."""
         seen: set[DiagramCell] = set()
         for p in self.paths:
-            cells = p.cells()
-            if seen & cells:
+            if not seen.isdisjoint(p.footprint):
                 return False
-            seen |= cells
+            seen.update(p.footprint)
         return True
 
     def to_json(self) -> dict:
@@ -188,14 +215,14 @@ def enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
     m = b.strands
     if len(b) == 0 or m < 2:
         return []
-    records = []  # (start, end, footprint, letters) of every pooled path
+    records = []  # (start, end, footprint, key) of every pooled path
     by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (cells, index)
     starts = range(2, m + 1)
     for j, found in zip(starts, _path_records(b, starts)):
-        for end, cells, footprint, letters in found:
+        for end, cells, footprint, key in found:
             if end >= 2:
                 by_pair.setdefault((j, end), []).append((cells, len(records)))
-                records.append((j, end, footprint, letters))
+                records.append((j, end, footprint, key))
     path = cache(lambda i: Path(*records[i]))  # built on first use, once
     walks: list[Walk] = []
     chosen: list[int] = []
@@ -219,13 +246,6 @@ def enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
                 if all(pools):
                     extend(pools, 0)
     return walks
-
-
-# Canonical key of an operator monomial: a tuple of (crossing index, sign,
-# s, r, d) entries sorted by crossing index, with all q-shifts folded into
-# the coefficient.  This makes operator equality decidable (PBW basis per
-# crossing, tensor across crossings).
-CanonicalKey = tuple[tuple[int, int, int, int, int], ...]
 
 
 class OperatorPolynomial:
@@ -364,18 +384,9 @@ def op_mul(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomial:
     return result
 
 
-def _path_key(path: Path, b: BraidWord) -> CanonicalKey:
-    """A path picks up at most one letter per crossing, so its letters give
-    a canonical key directly, one entry per crossing, each from
-    qops._LETTER."""
-    return tuple((j, b.letters[j - 1][1], *_LETTER[x]) for j, x in path.letters)
-
-
-def _walk_term(
-    walk: Walk, path_keys: list[CanonicalKey]
-) -> tuple[CanonicalKey, int, int]:
-    """The key of walk_weight(walk, b) and its coefficient as (e, sign) for
-    sign * q^e, from the _path_key of each of its paths.
+def _walk_term(walk: Walk) -> tuple[CanonicalKey, int, int]:
+    """The key of walk_weight(walk) and its coefficient as (e, sign) for
+    sign * q^e, from the keys of its paths.
 
     At each crossing the walk's word is the concatenation of its paths'
     letters in ascending start order, and the canonical term of a
@@ -389,38 +400,46 @@ def _walk_term(
     """
     e = len(walk.paths) + walk.inversions()
     sign = (-1) ** (e + 1)
-    key, *rest = path_keys
+    key, *rest = [p.key for p in walk.paths]
     for path_key in rest:
         key, shift = _merge_keys(key, path_key)
         e += shift
     return key, e, sign
 
 
-def walk_weight(walk: Walk, b: BraidWord) -> OperatorPolynomial:
+def walk_weight(walk: Walk) -> OperatorPolynomial:
     """The weight (-1)(-q)^(|J| + inv) times the ordered path letters.
 
     At each crossing the letters of the paths are appended in ascending
     start order, leftmost path first; the result is a one-term polynomial.
     """
-    key, e, sign = _walk_term(walk, [_path_key(p, b) for p in walk.paths])
+    key, e, sign = _walk_term(walk)
     return OperatorPolynomial({key: LaurentPolynomial.term(e, sign)})
 
 
 def walk_sum_C(b: BraidWord) -> OperatorPolynomial:
     """The polynomial C: sum of the weights of the simple walks with J in
-    {2..m}.
+    {2..m}, the coefficients summed as integers per key and exponent.
 
-    enumerate_walks builds each Path once and shares it between walks, so
-    while they are alive the id of a Path names one path, and its key is
-    computed once.  The coefficients are summed as integers per exponent.
+    Walks that share a key.  In a simple walk each cell carries at most one
+    path, so at each crossing the key's entry says which of the two entry
+    cells are used (s for the under strand, r + d for the over strand) and
+    where the over-strand path leaves (c, r: to the under strand; a, d: on
+    the over strand); the under-strand path always moves to the over
+    strand, and a cell off the crossing passes its path straight on.  So
+    the key fixes which cells of each strand position that meets a
+    crossing are used, and with the moves, the paths through them.  A
+    position that meets no crossing is left open: a path along it picks up
+    no letter, so walks with and without it share a key (the word 1 on 4
+    strands has three simple walks on the empty key, with coefficient
+    2q - q^2).  On a knot closure every
+    position meets a crossing (m >= 2), so there the simple walks and the
+    terms of C correspond one to one; none shared a key across the corpus
+    and build-C words.  walk_sum_C accepts any braid, so it sums.
     """
     out: dict[CanonicalKey, dict[int, int]] = {}
-    keys: dict[int, CanonicalKey] = {}
     for walk in enumerate_walks(b, simple_only=True):
-        for p in walk.paths:
-            if id(p) not in keys:
-                keys[id(p)] = _path_key(p, b)
-        key, e, sign = _walk_term(walk, [keys[id(p)] for p in walk.paths])
+        key, e, sign = _walk_term(walk)
         at = out.setdefault(key, {})
         at[e] = at.get(e, 0) + sign
     return OperatorPolynomial({k: LaurentPolynomial(c) for k, c in out.items()})

@@ -233,8 +233,8 @@ def cancellation_pairing(b: BraidWord) -> bool:
     if (len(all_walks) - len(simple)) % 2 != 0:
         return False
     zero = OperatorPolynomial.zero()
-    total_all = sum((walk_weight(w, b) for w in all_walks), zero)
-    total_simple = sum((walk_weight(w, b) for w in simple), zero)
+    total_all = sum((walk_weight(w) for w in all_walks), zero)
+    total_simple = sum((walk_weight(w) for w in simple), zero)
     return total_all == total_simple
 
 
@@ -247,9 +247,11 @@ def reference_enumerate_paths(b: BraidWord, start: int) -> list[Path]:
     strand l+1 passes over l; a path on the over strand picks up a (and
     stays) or c (and drops to the under strand), one on the under strand
     picks up b and moves to the over strand, and any other path goes
-    straight on.  A replay that runs out of choices at an over strand is
-    put back as its two extensions, a first, so the sequences are replayed
-    in the depth-first order of enumerate_paths.
+    straight on.  Each letter x at crossing j is recorded as the key entry
+    (j, sign, *qops._LETTER[x]), a fresh tuple per path.  A replay that
+    runs out of choices at an over strand is put back as its two
+    extensions, a first, so the sequences are replayed in the depth-first
+    order of enumerate_paths.
     """
     k = len(b)
     paths: list[Path] = []
@@ -258,7 +260,7 @@ def reference_enumerate_paths(b: BraidWord, start: int) -> list[Path]:
         choices = pending.pop()
         pos, used = start, 0
         cells = [(k, start)]
-        letters = []
+        key = []
         for j in range(k, 0, -1):
             l, sign = b.letters[j - 1]
             over, under = (l, l + 1) if sign > 0 else (l + 1, l)
@@ -268,14 +270,14 @@ def reference_enumerate_paths(b: BraidWord, start: int) -> list[Path]:
                     break
                 letter = choices[used]
                 used += 1
-                letters.append((j, letter))
+                key.append((j, sign, *_LETTER[letter]))
                 pos = over if letter == "a" else under
             elif pos == under:
-                letters.append((j, "b"))
+                key.append((j, sign, *_LETTER["b"]))
                 pos = over
             cells.append((j - 1, pos))
         else:
-            paths.append(Path(start, pos, tuple(cells), tuple(reversed(letters))))
+            paths.append(Path(start, pos, tuple(cells), tuple(reversed(key))))
     return paths
 
 

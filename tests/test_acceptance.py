@@ -85,10 +85,10 @@ def sweep(corpus):
         simple = [w for w in all_walks if w.is_simple()]
         C_all = OperatorPolynomial.zero()
         for w in all_walks:
-            C_all = C_all + walk_weight(w, b)
+            C_all = C_all + walk_weight(w)
         C_simple = OperatorPolynomial.zero()
         for w in simple:
-            C_simple = C_simple + walk_weight(w, b)
+            C_simple = C_simple + walk_weight(w)
         if C_all != C_simple or (len(all_walks) - len(simple)) % 2 != 0:
             results["cancellation_failures"].append(name)
         C_q = C_qdet(b)
@@ -135,8 +135,8 @@ def test_criterion_01_figure_eight_cli(capsys):
 def test_criterion_02_reference_intermediates():
     walks = enumerate_walks(FIG8, simple_only=True)
     walk_b = next(w for w in walks if w.J == (2, 3))
-    A = walk_weight(next(w for w in walks if w.J == (3,)), FIG8)
-    B = walk_weight(walk_b, FIG8)
+    A = walk_weight(next(w for w in walks if w.J == (3,)))
+    B = walk_weight(walk_b)
     # canonical keys (crossing, sign, #b, #c, #a): A = q a-_2 a-_4 and
     # B = q^3 c+_1 a-_2 b+_3 (bc)-_4, the word at crossing 4 being b from
     # the start-2 path followed by c from the start-3 path

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidwalks import (
     BraidWord,
+    C_qdet,
     CrossingWord,
     LaurentPolynomial,
     NotAKnotError,
@@ -33,6 +34,8 @@ from corpus_util import (
 )
 
 FIG8 = parse_braid("1 -2 1 -2", 3)
+# 1203 crossings, deeper than the default recursion limit
+LONG = BraidWord(4, ((1, 1), (2, 1), (3, 1)) + ((3, 1), (3, -1)) * 600)
 ONE = LaurentPolynomial.one()
 Q = LaurentPolynomial.term(1)
 
@@ -104,11 +107,16 @@ class TestPaths:
             enumerate_paths(FIG8, 4)
 
     def test_long_word_beyond_recursion_limit(self):
-        # 1203 crossings, deeper than the default recursion limit
-        b = BraidWord(4, ((1, 1), (2, 1), (3, 1)) + ((3, 1), (3, -1)) * 600)
-        assert [len(enumerate_paths(b, s)) for s in (1, 2, 3, 4)] == [
+        assert [len(enumerate_paths(LONG, s)) for s in (1, 2, 3, 4)] == [
             2, 2, 2, 2401
         ]
+
+    def test_path_keys_share_entries(self):
+        # the move table makes one key entry per crossing and letter, and
+        # every path key is made of those: no entry is built per path
+        walks = enumerate_walks(LONG, True)
+        entries = {id(e) for w in walks for p in w.paths for e in p.key}
+        assert len(entries) <= 3 * len(LONG)
 
 
 class TestWalks:
@@ -146,10 +154,37 @@ class TestEnumerationReferences:
                 total = OperatorPolynomial.zero()
                 for walk in expected:
                     weight = reference_walk_weight(walk, b)
-                    assert walk_weight(walk, b) == weight, b.serialize()
+                    assert walk_weight(walk) == weight, b.serialize()
                     total = total + weight
                 # over all walks, the nonsimple ones cancel
                 assert C == total, (b.serialize(), simple_only)
+
+    @pytest.mark.parametrize(
+        "word, expected",
+        [
+            ("1", {(): LaurentPolynomial({1: 2, 2: -1})}),
+            (
+                "1 1 1",
+                {
+                    (): LaurentPolynomial({1: 2, 2: -1}),
+                    ((1, 1, 0, 1, 0), (2, 1, 0, 0, 1), (3, 1, 1, 0, 0)):
+                        LaurentPolynomial({1: 1, 2: -2, 3: 1}),
+                },
+            ),
+        ],
+    )
+    def test_walks_sharing_a_key(self, word, expected):
+        # strands 3 and 4 meet no crossing, so walks with and without a path
+        # along them share a key: walk_sum_C must add their weights
+        b = parse_braid(word, 4)
+        simple = reference_enumerate_walks(b, True)
+        C = walk_sum_C(b)
+        assert len(C) < len(simple)
+        total = sum(
+            (reference_walk_weight(w, b) for w in simple), OperatorPolynomial.zero()
+        )
+        assert C == total == C_qdet(b)
+        assert C.terms == expected
 
     def test_no_nonsimple_walk_is_built(self, monkeypatch):
         # the build-C anchor: 587 simple walks among 19,385
@@ -209,7 +244,7 @@ class TestMergeShortcut:
 class TestWalkWeight:
     def test_walk_A(self):
         a, _ = fig8_walks()
-        assert walk_weight(a, FIG8).terms == {
+        assert walk_weight(a).terms == {
             ((2, -1, 0, 0, 1), (4, -1, 0, 0, 1)): Q
         }
 
@@ -218,7 +253,7 @@ class TestWalkWeight:
         # the letters at crossing 4 are ordered by start: b (start 2), then
         # c (start 3); the word "bc" is already normal, "cb" would be q^2 bc
         assert [p.letters[-1] for p in b.paths] == [(4, "b"), (4, "c")]
-        assert walk_weight(b, FIG8).terms == {
+        assert walk_weight(b).terms == {
             (
                 (1, 1, 0, 1, 0),
                 (2, -1, 0, 0, 1),
@@ -226,7 +261,7 @@ class TestWalkWeight:
                 (4, -1, 1, 1, 0),
             ): LaurentPolynomial.term(3)
         }
-        assert walk_weight(b, FIG8) == from_words(
+        assert walk_weight(b) == from_words(
             LaurentPolynomial.term(3),
             {
                 1: CrossingWord(1, "c"),
@@ -239,28 +274,28 @@ class TestWalkWeight:
     def test_single_path_walk_coeff_is_q(self):
         walks = enumerate_walks(parse_braid("-1", 2), simple_only=True)
         assert len(walks) == 1
-        weight = walk_weight(walks[0], parse_braid("-1", 2))
+        weight = walk_weight(walks[0])
         assert list(weight.terms.values()) == [Q]
 
 
 class TestOperatorAlgebra:
     def test_AB_equals_q_BA(self):
         a, b = fig8_walks()
-        A = walk_weight(a, FIG8)
-        B = walk_weight(b, FIG8)
+        A = walk_weight(a)
+        B = walk_weight(b)
         assert op_mul(A, B) == op_mul(B, A).scaled(Q)
 
     def test_identity_is_unit(self):
         _, b = fig8_walks()
-        B = walk_weight(b, FIG8)
+        B = walk_weight(b)
         one = OperatorPolynomial.one()
         assert op_mul(one, B) == B
         assert op_mul(B, one) == B
 
     def test_square_is_bilinear(self):
         a, b = fig8_walks()
-        A = walk_weight(a, FIG8)
-        B = walk_weight(b, FIG8)
+        A = walk_weight(a)
+        B = walk_weight(b)
         total = A + B
         expanded = (
             op_mul(A, A) + op_mul(A, B) + op_mul(B, A) + op_mul(B, B)
@@ -273,7 +308,7 @@ class TestWalkSum:
         C = walk_sum_C(FIG8)
         assert len(C) == 2
         a, b = fig8_walks()
-        assert C == walk_weight(a, FIG8) + walk_weight(b, FIG8)
+        assert C == walk_weight(a) + walk_weight(b)
 
     def test_single_positive_crossing_C_is_zero(self):
         assert not walk_sum_C(parse_braid("1", 2))
@@ -282,12 +317,12 @@ class TestWalkSum:
 class TestEvaluation:
     def test_E2_of_walk_A(self):
         a, _ = fig8_walks()
-        value = evaluate_polynomial(walk_weight(a, FIG8), 2)
+        value = evaluate_polynomial(walk_weight(a), 2)
         assert value == Q * (ONE - LaurentPolynomial.term(-1)) ** 2
 
     def test_E2_of_walk_B(self):
         _, b = fig8_walks()
-        value = evaluate_polynomial(walk_weight(b, FIG8), 2)
+        value = evaluate_polynomial(walk_weight(b), 2)
         assert value == LaurentPolynomial.term(3) * (ONE - LaurentPolynomial.term(-1))
 
     def test_empty_monomial(self):
