@@ -35,17 +35,17 @@ from .qdet import (
 )
 from .qops import (
     CrossingWord,
+    OperatorPolynomial,
+    op_mul,
     oracle_apply,
     relation_oracle_check,
 )
 from .walks import (
-    OperatorPolynomial,
     Path,
     Walk,
     enumerate_paths,
     enumerate_walks,
     evaluate_series,
-    op_mul,
     series_terms,
     walk_sum_C,
     walk_weight,

@@ -9,7 +9,7 @@ from crossing to crossing, by the quantum Cauchy-Binet identity; C_qdet
 reads its principal minors and rho its entries, the minors of size 1.
 det_q names the quantum determinant throughout; neither it nor a local
 matrix is ever formed here.  The one term of det_q of the 2x2 block is the
-walks._merge_keys merge of its two letters, as in every walk weight.
+qops._merge_keys merge of its two letters, as in every walk weight.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from typing import Iterable
 
 from .braid import BraidWord
 from .laurent import LaurentPolynomial
-from .qops import _LETTER
-from .walks import CanonicalKey, OperatorPolynomial, _merge_keys, op_mul
+from .qops import _LETTER, CanonicalKey, OperatorPolynomial, _merge_keys, op_mul
 
 
 @dataclass(frozen=True)

@@ -1,29 +1,26 @@
-"""Paths, walks and stacks along a braid, and the operator polynomial C.
+"""Paths, walks and stacks along a braid, the operator polynomial C and
+its series.
 
 A path starts at the bottom of a strand and follows it upward; whenever it
 begins to cross over another strand it may jump down instead.  A walk is a
 set J of starting strands (never strand 1), a permutation of J, and one
 path per start.  C is the sum of the walk weights; the colored Jones
-series is sum_n E_N(C^n), which truncates at n = (m-1)(N-1).
+series is sum_n E_N(C^n), which truncates at n = (m-1)(N-1).  Keys,
+operator polynomials, their merge and E_N are the crossing algebra of
+qops, which qdet builds on too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations, permutations
-from typing import Mapping
 
 from .braid import BraidWord, DiagramCell, NotAKnotError, is_knot_closure
 from .laurent import LaurentPolynomial
-from .qops import _LETTER, _MERGE_EXP, _eval_base
-
-
-# Canonical key of an operator monomial: a tuple of (crossing index, sign,
-# s, r, d) entries sorted by crossing index, with all q-shifts folded into
-# the coefficient.  This makes operator equality decidable (PBW basis per
-# crossing, tensor across crossings).
-CanonicalKey = tuple[tuple[int, int, int, int, int], ...]
+from .qops import (
+    _LETTER, _MERGE_EXP, CanonicalKey, OperatorPolynomial, _merge_keys, evaluate_polynomial
+)
 
 _LETTER_OF = {fields: x for x, fields in _LETTER.items()}
 
@@ -248,142 +245,6 @@ def enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
     return walks
 
 
-class OperatorPolynomial:
-    """A formal sum of canonical operator monomials."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[CanonicalKey, LaurentPolynomial] | None = None):
-        self._terms = {k: c for k, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls) -> "OperatorPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "OperatorPolynomial":
-        return cls({(): LaurentPolynomial.one()})
-
-    @property
-    def terms(self) -> dict[CanonicalKey, LaurentPolynomial]:
-        return dict(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OperatorPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            n = out.get(k)
-            n = c if n is None else n + c
-            if n:
-                out[k] = n
-            else:
-                out.pop(k, None)
-        result = OperatorPolynomial.__new__(OperatorPolynomial)
-        result._terms = out
-        return result
-
-    def __sub__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
-        return self + other.scaled(LaurentPolynomial.term(0, -1))
-
-    def scaled(self, factor: LaurentPolynomial) -> "OperatorPolynomial":
-        return OperatorPolynomial(
-            {k: c * factor for k, c in self._terms.items()}
-        )
-
-    def to_json(self) -> list[dict]:
-        dump = []
-        for key in sorted(self._terms):
-            dump.append(
-                {
-                    "coeff": self._terms[key].to_json(),
-                    "crossings": [
-                        {"crossing": j, "sign": sign, "b": s, "c": r, "a": d}
-                        for j, sign, s, r, d in key
-                    ],
-                }
-            )
-        return dump
-
-
-# the largest |alpha| and |beta| + |gamma|: a term of C with fields at most M
-# has |alpha s| and |beta s + gamma r| at most _MERGE_EXP_BOUND * M
-_MERGE_EXP_BOUND = max(
-    max(abs(alpha), abs(beta) + abs(gamma))
-    for alpha, beta, gamma in _MERGE_EXP.values()
-)
-
-
-# bounded like _eval_base, so a long-lived process does not grow with every
-# key pair it has merged; walk weights and op_mul merge keys here, while the
-# minor transfer of qdet appends its entries and never merges.  It stays an
-# lru_cache because benchmarks/trace_layers.py reads its cache_info.
-@lru_cache(maxsize=1 << 12)
-def _merge_keys(k1: CanonicalKey, k2: CanonicalKey) -> tuple[CanonicalKey, int]:
-    """Merge two canonical keys (left operand first); returns (key, q-shift).
-
-    An empty key is returned as the other one with shift 0: it is the key
-    of the unit of op_mul and of a path with no letters.
-    """
-    if not k1 or not k2:
-        return k1 + k2, 0
-    out = []
-    shift = 0
-    i1 = i2 = 0
-    n1, n2 = len(k1), len(k2)
-    while i1 < n1 and i2 < n2:
-        e1, e2 = k1[i1], k2[i2]
-        if e1[0] < e2[0]:
-            out.append(e1)
-            i1 += 1
-        elif e1[0] > e2[0]:
-            out.append(e2)
-            i2 += 1
-        else:
-            j, sign, s1, r1, d1 = e1
-            _, sign2, s2, r2, d2 = e2
-            if sign2 != sign:
-                raise ValueError(f"sign mismatch at crossing {j}")
-            alpha, beta, gamma = _MERGE_EXP[sign]
-            shift += r1 * alpha * s2 + d1 * (beta * s2 + gamma * r2)
-            out.append((j, sign, s1 + s2, r1 + r2, d1 + d2))
-            i1 += 1
-            i2 += 1
-    out.extend(k1[i1:])
-    out.extend(k2[i2:])
-    return tuple(out), shift
-
-
-def op_mul(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomial:
-    """Bilinear product; per-crossing words concatenate, left operand first."""
-    out: dict[CanonicalKey, LaurentPolynomial] = {}
-    for k1, c1 in p._terms.items():
-        for k2, c2 in q._terms.items():
-            key, shift = _merge_keys(k1, k2)
-            c = (c1 * c2).shifted(shift) if shift else c1 * c2
-            n = out.get(key)
-            n = c if n is None else n + c
-            if n:
-                out[key] = n
-            else:
-                out.pop(key, None)
-    result = OperatorPolynomial.__new__(OperatorPolynomial)
-    result._terms = out
-    return result
-
-
 def _walk_term(walk: Walk) -> tuple[CanonicalKey, int, int]:
     """The key of walk_weight(walk) and its coefficient as (e, sign) for
     sign * q^e, from the keys of its paths.
@@ -445,16 +306,12 @@ def walk_sum_C(b: BraidWord) -> OperatorPolynomial:
     return OperatorPolynomial({k: LaurentPolynomial(c) for k, c in out.items()})
 
 
-def evaluate_polynomial(p: OperatorPolynomial, N: int) -> LaurentPolynomial:
-    """E_N(p): each key's coefficient times its crossings' _eval_base
-    factors, summed over the keys by one packed sum_of_products, which
-    drops the row of a key with a zero factor."""
-    if N < 2:
-        raise ValueError("color N must be at least 2")
-    return LaurentPolynomial.sum_of_products(
-        [coeff, *(_eval_base(sign, r, d, N) for _j, sign, _s, r, d in key)]
-        for key, coeff in p._terms.items()
-    )
+# the largest |alpha| and |beta| + |gamma|: a term of C with fields at most M
+# has |alpha s| and |beta s + gamma r| at most _MERGE_EXP_BOUND * M
+_MERGE_EXP_BOUND = max(
+    max(abs(alpha), abs(beta) + abs(gamma))
+    for alpha, beta, gamma in _MERGE_EXP.values()
+)
 
 
 def _dead_partners(C: OperatorPolynomial, N: int):
@@ -532,24 +389,24 @@ def series_terms(
     field of C, every field of a pruned C^n is at most n*M, since a product
     adds fields and the prune only removes keys.
 
-    Keys.  C has L slots, one per (crossing, sign) it uses, and a key is
-    one integer holding s, r and d of each slot in fields of
-    W = (n_max*M).bit_length() bits.  A field of C^n for n <= n_max is
-    below 2^W, so the key of a product is the sum of the two keys, with no
-    carry.  A canonical entry is never all zero, so a nonzero slot marks an
-    entry and the encoding is one-to-one.  Two slots on one crossing would
-    meet in C^2, so they raise as op_mul does.
-
-    Shift.  The q-shift of _merge_keys is the sum over slots of
-    r1*(alpha s2) + d1*(beta s2 + gamma r2), a dot product of the (r, d)
-    vector x of the left key, entries at most n_max*M, with the vector y
-    of the term of C, whose entries are at most E*M in absolute value
-    (E = _MERGE_EXP_BOUND).  x is packed in ascending order and y + E*M,
-    whose entries lie in [0, 2E*M], in descending order, both at 2^V with
-    V = (2L * n_max*M * 2E*M).bit_length().  Each coefficient of the
-    product of the two integers sums at most 2L products of entries, so it
-    is below 2^V and no digit carries: the digit at 2^(V(2L-1)) is exactly
-    x.(y + E*M), and the shift is that minus E*M * sum(x).
+    Keys and shift.  C has L slots, one per (crossing, sign) it uses, and
+    a key is one integer x holding s, r and d of each slot, slot by slot in
+    ascending order, as digits of V = (2L * n_max*M * 2E*M).bit_length()
+    bits (E = _MERGE_EXP_BOUND).  A field of C^n for n <= n_max is at most
+    n_max*M, below 2^V, so the key of a product is the sum of the two keys,
+    with no carry.  A canonical entry is never all zero, so a nonzero slot
+    marks an entry and the encoding is one-to-one.  Two slots on one
+    crossing would meet in C^2, so they raise as op_mul does.  The q-shift
+    of _merge_keys is the sum over slots of
+    r1*(alpha s2) + d1*(beta s2 + gamma r2), the dot product of the left key
+    x with the vector y of the term of C that holds alpha s2 at r,
+    beta s2 + gamma r2 at d and 0 at s.  The entries of y are at most E*M in
+    absolute value, so Y, which adds E*M to each r and d entry of y, has
+    entries in [0, 2E*M]; it is packed in descending order, at 2^V too.
+    Only the 2L r and d digits of Y are nonzero, so each coefficient of the
+    product x*Y sums at most 2L products of entries and is below 2^V, and
+    no digit carries: the digit at 2^(V(3L-1)) is exactly x.Y, and the
+    shift is that minus E*M times the sum of the r and d fields of x.
 
     Coefficients.  Each coefficient q^v * P(q) is kept as (v, P(2^B)) with
     B = (||C||_1^n_max).bit_length() + 1, ||.||_1 the sum of the absolute
@@ -569,58 +426,53 @@ def series_terms(
                 raise ValueError(f"sign mismatch at crossing {j}")
     L = len(slots)
     M = max((max(e[2:]) for key in C._terms for e in key), default=0)
-    W = (n_max * M).bit_length()
     off = _MERGE_EXP_BOUND * M
     V = (2 * L * n_max * M * 2 * off).bit_length()
     norm = sum(abs(c) for coeff in C._terms.values() for _e, c in coeff.items())
     B = (norm**n_max).bit_length() + 1
-    top, digit_mask = V * (2 * L - 1), (1 << V) - 1
-    field_mask, slot_mask = (1 << W) - 1, (1 << 3 * W) - 1
+    top, digit_mask = V * (3 * L - 1), (1 << V) - 1
 
     index = {slot: i for i, slot in enumerate(slots)}
-    offsets = sum(off << V * k for k in range(2 * L))
-    factors = []  # (key, valuation, packed coefficient, packed y + E*M)
+    offsets = sum(off << (top - V * k) for k in range(3 * L) if k % 3)
+    factors = []  # (key, valuation, packed coefficient, packed Y)
     for key, coeff in C._terms.items():
         K, Y = 0, offsets
         for j, sign, s, r, d in key:
             i = index[j, sign]
             alpha, beta, gamma = _MERGE_EXP[sign]
-            K |= (s | r << W | d << 2 * W) << 3 * W * i
-            Y += (alpha * s) << V * (2 * L - 1 - 2 * i)
-            Y += (beta * s + gamma * r) << V * (2 * L - 2 - 2 * i)
+            K |= (s | r << V | d << 2 * V) << 3 * V * i
+            Y += (alpha * s) << (top - V * (3 * i + 1))
+            Y += (beta * s + gamma * r) << (top - V * (3 * i + 2))
         factors.append((K, *coeff.packed(B), Y))
     everyone = (1 << len(factors)) - 1
 
-    def decoded(K: int) -> tuple[CanonicalKey, int, int, int]:
-        """The canonical key of K, its packed x, sum(x) and the union of
-        the dead partners of its slots."""
+    def decoded(K: int) -> tuple[CanonicalKey, int, int]:
+        """The canonical key of K, the sum of its r and d fields and the
+        union of the dead partners of its slots."""
         entries = []
-        X = xsum = dead = 0
-        rest = K
+        xsum = dead = 0
         for i, (j, sign) in enumerate(slots):
-            f = rest & slot_mask
-            rest >>= 3 * W
-            r, d = f >> W & field_mask, f >> 2 * W
+            s, r, d = K & digit_mask, K >> V & digit_mask, K >> 2 * V & digit_mask
+            K >>= 3 * V
             dead |= partners(i, r, d)
-            if f:
-                entries.append((j, sign, f & field_mask, r, d))
-                X |= r << V * 2 * i | d << V * (2 * i + 1)
+            if s or r or d:
+                entries.append((j, sign, s, r, d))
                 xsum += r + d
-        return tuple(entries), X, xsum, dead
+        return tuple(entries), xsum, dead
 
-    # key -> (valuation - E*M * sum(x), packed coefficient, packed x, dead
+    # key -> (valuation - E*M * (sum of r and d), packed coefficient, dead
     # partners)
-    power = {0: (0, 1, 0, decoded(0)[3])}
+    power = {0: (0, 1, decoded(0)[2])}
     for _ in range(n_max):
         product: dict[int, tuple[int, int]] = {}
-        for K1, (v1, c1, X1, dead) in power.items():
+        for K1, (v1, c1, dead) in power.items():
             partners_left = everyone ^ dead
             while partners_left:
                 bit = partners_left & -partners_left
                 partners_left ^= bit
                 K2, v2, c2, Y2 = factors[bit.bit_length() - 1]
                 K = K1 + K2
-                v = v1 + v2 + (X1 * Y2 >> top & digit_mask)
+                v = v1 + v2 + (K1 * Y2 >> top & digit_mask)
                 c = c1 * c2
                 prev = product.get(K)
                 if prev is not None:
@@ -635,9 +487,9 @@ def series_terms(
         for K, (v, c) in product.items():
             if not c:
                 continue
-            key, X, xsum, dead = decoded(K)
+            key, xsum, dead = decoded(K)
             live[key] = LaurentPolynomial.unpacked(c, B, v)
-            power[K] = (v - off * xsum, c, X, dead)
+            power[K] = (v - off * xsum, c, dead)
         p = OperatorPolynomial.__new__(OperatorPolynomial)
         p._terms = live
         terms.append(evaluate_polynomial(p, N))

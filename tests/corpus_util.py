@@ -8,7 +8,7 @@ whole words letter by letter (from_words), rho as the product of full local
 matrices, and C_qdet as quantum determinants summed over permutations
 (det_q).  They live only here; the package builds neither local matrices,
 permutation sums nor whole-word terms, and forms the term of a word only as
-its one-letter key entries folded through walks._merge_keys (merged_word
+its one-letter key entries folded through qops._merge_keys (merged_word
 restates that fold for the tests).  from_words shares no code with
 _merge_keys, so reference_walk_weight and reference_C_qdet check the
 engine's merge.  The commutation exponents are not restated: from_words
@@ -35,8 +35,8 @@ from braidwalks import (
     op_mul,
     walk_weight,
 )
-from braidwalks.qops import _LETTER, _MERGE_EXP, _eval_base
-from braidwalks.walks import CanonicalKey, _merge_keys, inversions
+from braidwalks.qops import _LETTER, _MERGE_EXP, CanonicalKey, _eval_base, _merge_keys
+from braidwalks.walks import inversions
 
 
 def _is_dead(key: CanonicalKey, N: int) -> bool:
@@ -89,7 +89,7 @@ def from_words(
 def merged_word(cw: CrossingWord) -> OperatorPolynomial:
     """The term of a crossing word at crossing 1 as the engine forms walk
     weights: its one-letter key entries (qops._LETTER) folded through
-    walks._merge_keys, the summed q-shift as the coefficient."""
+    qops._merge_keys, the summed q-shift as the coefficient."""
     key: CanonicalKey = ()
     shift = 0
     for x in cw.word:
@@ -208,7 +208,7 @@ def reference_evaluate_polynomial(
     p: OperatorPolynomial, N: int
 ) -> LaurentPolynomial:
     """E_N(p) by dict-loop Laurent products, one factor at a time: the
-    reference the packed walks.evaluate_polynomial is compared against."""
+    reference the packed qops.evaluate_polynomial is compared against."""
     if N < 2:
         raise ValueError("color N must be at least 2")
     total = LaurentPolynomial.zero()

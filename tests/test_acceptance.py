@@ -37,7 +37,7 @@ from braidwalks import (
 from braidwalks import qops
 from braidwalks.cli import main as cli_main
 from braidwalks.qdet import C_qdet
-from braidwalks.walks import evaluate_polynomial
+from braidwalks.qops import evaluate_polynomial
 from corpus_util import (
     knot_closure_words,
     merged_word,
@@ -198,7 +198,7 @@ def test_criterion_05_truncation(sweep):
 
 def test_criterion_06_pbw_oracle_agreement(monkeypatch):
     # each word's term is formed as the engine forms walk weights, by
-    # walks._merge_keys, and evaluated by walks.evaluate_polynomial
+    # qops._merge_keys, and evaluated by qops.evaluate_polynomial
     checked = 0
     for length in range(6):
         for letters in itertools.product("abc", repeat=length):

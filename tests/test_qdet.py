@@ -1,8 +1,11 @@
+import ast
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import braidwalks
 from braidwalks import (
     BraidWord,
     C_qdet,
@@ -206,3 +209,31 @@ class TestRightQuantum:
         rows[0][0], rows[1][1] = M[1, 1], M[0, 0]
         corrupted = OperatorMatrix(tuple(tuple(row) for row in rows))
         assert not matrix_is_right_quantum(corrupted)
+
+
+def imported_names(module: str) -> set[str]:
+    """The absolute names a module of the package imports, each module and
+    each name taken from it, read from its source with ast."""
+    tree = ast.parse(Path(braidwalks.__file__).with_name(f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join(filter(None, ["braidwalks", base]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ["qdet", "qops"])
+def test_no_import_from_the_walk_engine(module):
+    # qdet is the second opinion on C and qops the crossing algebra both
+    # pipelines share: neither may lean on the walk engine
+    names = imported_names(module)
+    assert "braidwalks.laurent" in names  # relative imports are resolved
+    assert not {
+        n for n in names if n == "braidwalks.walks" or n.startswith("braidwalks.walks.")
+    }

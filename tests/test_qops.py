@@ -12,8 +12,8 @@ from braidwalks import (
     op_mul,
     relation_oracle_check,
 )
-from braidwalks import qops, walks
-from braidwalks.walks import evaluate_polynomial
+from braidwalks import qops
+from braidwalks.qops import evaluate_polynomial
 from corpus_util import from_words, merged_word, reference_eval_base
 
 ONE = LaurentPolynomial.one()
@@ -66,7 +66,7 @@ class TestNormalOrder:
 
 
 class TestEvalCrossing:
-    """E_N of one crossing's term, through walks.evaluate_polynomial."""
+    """E_N of one crossing's term, through qops.evaluate_polynomial."""
 
     def test_negative_single_a(self):
         assert evaluate_polynomial(term(-1, 0, 0, 1), 2) == ONE - LaurentPolynomial.term(-1)
@@ -212,7 +212,7 @@ class TestRelations:
         # emptied before the patch and again after the checks.
         table = list(qops._MERGE_EXP[sign])
         table[index] += 1
-        walks._merge_keys.cache_clear()
+        qops._merge_keys.cache_clear()
         monkeypatch.setitem(qops._MERGE_EXP, sign, tuple(table))
         try:
             assert not relation_oracle_check(sign)
@@ -228,7 +228,7 @@ class TestRelations:
                 for N in (2, 3)
             )
         finally:
-            walks._merge_keys.cache_clear()
+            qops._merge_keys.cache_clear()
 
 
 def test_crossing_word_validation():

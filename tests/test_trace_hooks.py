@@ -52,6 +52,17 @@ def test_caches_have_cache_info(trace_layers):
         assert hits >= 0 and misses >= 0
 
 
+def test_hooked_functions_live_in_listed_modules(trace_layers):
+    # the span pass rebinds a function only in the modules _modules lists,
+    # so a call made from an unlisted module would go uncounted
+    _mods, everywhere = trace_layers._modules()
+    listed = {mod.__name__ for mod in everywhere}
+    hooked = [*trace_layers.SPANS.values(), *trace_layers.CACHES.values()]
+    hooked += [(module, attr) for module, attr, _size in trace_layers.SIZES.values()]
+    for module, attr in hooked:
+        assert resolve(module, attr).__module__ in listed, (module, attr)
+
+
 def test_call_counts_resolve(trace_layers):
     for module, path in trace_layers.CALLS.values():
         assert resolve(module, path).__code__, (module, path)

@@ -18,7 +18,8 @@ from braidwalks import (
     walk_weight,
 )
 from braidwalks import walks
-from braidwalks.walks import _dead_partners, _merge_keys, evaluate_polynomial
+from braidwalks.qops import _merge_keys, evaluate_polynomial
+from braidwalks.walks import _dead_partners
 from corpus_util import (
     _is_dead,
     cancellation_pairing,
