@@ -17,8 +17,14 @@ from .qdet import rho
 from .walks import enumerate_walks, walk_weight
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # bad input exits 1; 2 is kept for a pipeline disagreement
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braidwalks",
         description="Exact colored Jones polynomials of knots from braid closures.",
     )
@@ -95,7 +101,10 @@ def _dispatch(args: argparse.Namespace) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0, a usage error 1
+        return exc.code
     try:
         output = _dispatch(args)
     except PipelineMismatchError as exc:

@@ -4,9 +4,10 @@ Each crossing contributes a local matrix that is the identity outside a
 2x2 block of letter operators; their ordered product is rho.  By the
 Huynh-Le formula, C is the sum over nonempty J in {2..m} of
 -(-q)^|J| det_q(rho_{J,J}), the same polynomial as walk enumeration.
-quantum_minors carries the quantum minors of the partial products of rho
-from crossing to crossing, by the quantum Cauchy-Binet identity; C_qdet
-reads its principal minors and rho its entries, the minors of size 1.
+_transfer carries the quantum minors of the partial products of rho from
+crossing to crossing, by the quantum Cauchy-Binet identity, each minor as
+the steps that reach it; _collect expands the steps into terms.  C_qdet
+expands its principal minors and rho its entries, the minors of size 1.
 det_q names the quantum determinant throughout; neither it nor a local
 matrix is ever formed here.  The one term of det_q of the 2x2 block is the
 qops._merge_keys merge of its two letters, as in every walk weight.
@@ -60,14 +61,13 @@ _DET_BLOCK = {
 
 # a quantum minor's (row set, column set), each an ascending tuple of strands
 MinorKey = tuple[tuple[int, ...], tuple[int, ...]]
-# a key built by appending: None for (), (chain, entry) for chain + (entry,)
-Chain = tuple | None
+# the steps that reach a minor, each (prior steps, key entry, q-shift, sign);
+# the identity's one step is (None, None, 0, 1)
+Steps = list[tuple]
 
 
-def _transfer(
-    b: BraidWord, row_sets: Iterable[tuple[int, ...]]
-) -> dict[MinorKey, list[tuple[Chain, LaurentPolynomial]]]:
-    """The terms of det_q(rho(b)_{I,K}) for each row set I of `row_sets`
+def _transfer(b: BraidWord, row_sets: Iterable[tuple[int, ...]]) -> dict[MinorKey, Steps]:
+    """The steps of det_q(rho(b)_{I,K}) for each row set I of `row_sets`
     and every column set K of the same size, keyed (I, K); zero minors are
     left out.
 
@@ -115,64 +115,79 @@ def _transfer(
     so each product appends one entry to each key, with no merge and no
     q-shift.
 
-    Terms.  The two minors that reach one set with exactly one of l, l+1
-    get different letters S[x][y], so their terms never meet: no term is
-    added to another, and each coefficient is a signed power of q.  So a
-    minor is a list of (key, coefficient), never hashed, and a key is a
-    Chain, which appends in constant time and shares its prefix with the
-    key it grew from; _collect flattens the keys and adds terms with equal
-    keys, so the lists would stay exact if terms did meet.  A step costs a
-    constant per term it moves, whatever the length of the keys.
+    Steps.  So a minor after crossing j is a sum of minors before it, each
+    times one key entry and a signed power of q, and it is stored as that
+    sum: a list of steps (prior, entry, shift, sign), prior the step list
+    of the minor before.  The identity minors are one step each, with no
+    entry.  A crossing adds one step list per minor it touches: one step
+    for the det block, or one per nonzero letter of S that reaches the new
+    column set.  Every other minor passes on as the same list, and no term
+    is copied.  The terms of a minor are the paths of steps back to the
+    identity: the key of a term is the entries along its path in crossing
+    order, and its coefficient the product of their signs times q to the
+    sum of their shifts.  So a crossing does work per minor, not per term,
+    and the number of terms before cancellation is a sum over the steps,
+    in O(k * #minors).  _collect reads the paths and counts their
+    coefficients as integers per key and exponent, so its result is exact
+    whether or not two terms meet.  (They do not: the two minors that
+    reach one set with exactly one of l, l+1 get different letters S[x][y].)
     """
-    minors = {(I, I): [(None, LaurentPolynomial.one())] for I in row_sets}
+    minors: dict[MinorKey, Steps] = {(I, I): [(None, None, 0, 1)] for I in row_sets}
     for j, (l, sign) in enumerate(b.letters, start=1):
         # the key entry of each letter of S at crossing j (None for 0)
         S = [[x and (j, sign, *_LETTER[x]) for x in row] for row in _BLOCK[sign]]
+        # the entry, q-shift and sign of det_q(S) = -q S[1][0] S[0][1] at j
         (block,), block_shift = _DET_BLOCK[sign]
-        both_entry = (j, *block[1:])
-        both_shift = 1 + block_shift
-        out: dict[MinorKey, list[tuple[Chain, LaurentPolynomial]]] = {}
-        for (I, K), terms in minors.items():
+        both = ((j, *block[1:]), 1 + block_shift, -1)
+        out: dict[MinorKey, Steps] = {}
+        for (I, K), steps in minors.items():
             has_l, has_next = l in K, l + 1 in K
             if not has_l and not has_next:
-                out[I, K] = terms
+                out[I, K] = steps
             elif has_l and has_next:
-                out[I, K] = [
-                    ((key, both_entry), c.shifted(both_shift, -1))
-                    for key, c in terms
-                ]
+                out[I, K] = [(steps, *both)]
             else:
                 x = l if has_l else l + 1
                 i = K.index(x)
                 for y, entry in enumerate(S[x - l], start=l):
-                    if entry is None:
-                        continue
-                    moved = [((key, entry), c) for key, c in terms]
-                    target = out.setdefault((I, K[:i] + (y,) + K[i + 1:]), moved)
-                    if target is not moved:
-                        target.extend(moved)
+                    if entry is not None:
+                        new = (I, K[:i] + (y,) + K[i + 1:])
+                        out.setdefault(new, []).append((steps, entry, 0, 1))
         minors = out
     return minors
 
 
-def _collect(
-    out: dict[CanonicalKey, LaurentPolynomial],
-    terms: Iterable[tuple[Chain, LaurentPolynomial]],
-    exponent: int = 0,
-    sign: int = 1,
-) -> dict[CanonicalKey, LaurentPolynomial]:
-    """Add each term of a _transfer minor, times sign * q^exponent, into out
-    under its canonical key, the entries of its chain in order."""
-    for chain, c in terms:
-        entries = []
-        while chain is not None:
-            chain, entry = chain
-            entries.append(entry)
-        key = tuple(reversed(entries))
-        c = c.shifted(exponent, sign)
-        n = out.get(key)
-        out[key] = c if n is None else n + c
-    return out
+def _collect(parts: Iterable[tuple[Steps, int, int]]) -> OperatorPolynomial:
+    """The sum of the minors of `parts`, each given as (steps, exponent,
+    sign) for sign * q^exponent times the minor.
+
+    Each term is a path of steps back to the identity, walked depth first.
+    The walk keeps its own stack, one entry per step list entered, so its
+    depth is not bounded by the interpreter's recursion limit; `entries`
+    holds the key entries down to the current list, in descending crossing
+    order, and is cut back to its depth before each step is taken.  The
+    coefficients are counted as integers per key and exponent.
+    """
+    out: dict[CanonicalKey, dict[int, int]] = {}
+    entries: list[tuple[int, int, int, int, int]] = []
+    for steps, exponent, sign in parts:
+        stack = [(iter(steps), exponent, sign)]
+        while stack:
+            depth = len(stack) - 1
+            at, e, s = stack[-1]
+            step = next(at, None)
+            if step is None:
+                stack.pop()
+                continue
+            prior, entry, shift, step_sign = step
+            del entries[depth:]
+            if prior is None:
+                coeff = out.setdefault(tuple(reversed(entries)), {})
+                coeff[e] = coeff.get(e, 0) + s
+            else:
+                entries.append(entry)
+                stack.append((iter(prior), e + shift, s * step_sign))
+    return OperatorPolynomial({k: LaurentPolynomial(c) for k, c in out.items()})
 
 
 def quantum_minors(
@@ -181,10 +196,7 @@ def quantum_minors(
     """det_q(rho(b)_{I,K}) for each row set I of `row_sets` and every column
     set K of the same size, keyed (I, K); zero minors are left out.  The
     transfer and its argument are in _transfer."""
-    return {
-        IK: OperatorPolynomial(_collect({}, terms))
-        for IK, terms in _transfer(b, row_sets).items()
-    }
+    return {IK: _collect([(steps, 0, 1)]) for IK, steps in _transfer(b, row_sets).items()}
 
 
 def rho(b: BraidWord) -> OperatorMatrix:
@@ -208,18 +220,19 @@ def rho(b: BraidWord) -> OperatorMatrix:
 
 def C_qdet(b: BraidWord) -> OperatorPolynomial:
     """C = sum over nonempty J in {2..m} of -(-q)^|J| det_q(rho_{J,J}), the
-    principal minors read from the _transfer with rows J."""
+    principal minors read from the _transfer with rows J; only they are
+    expanded."""
     row_sets = [
         J
         for size in range(1, b.strands)
         for J in combinations(range(2, b.strands + 1), size)
     ]
     minors = _transfer(b, row_sets)
-    out: dict[CanonicalKey, LaurentPolynomial] = {}
-    for J in row_sets:
-        size = len(J)
-        _collect(out, minors.get((J, J), ()), size, (-1) ** (size + 1))
-    return OperatorPolynomial(out)
+    return _collect(
+        (minors[J, J], len(J), (-1) ** (len(J) + 1))
+        for J in row_sets
+        if (J, J) in minors
+    )
 
 
 def matrix_is_right_quantum(M: OperatorMatrix) -> bool:

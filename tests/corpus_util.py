@@ -38,6 +38,10 @@ from braidwalks import (
 from braidwalks.qops import _LETTER, _MERGE_EXP, CanonicalKey, _eval_base, _merge_keys
 from braidwalks.walks import inversions
 
+# 1203 crossings, deeper than the default recursion limit: `1 2 3` and then
+# 600 times `3 -3` on 4 strands, a knot closure
+LONG = BraidWord(4, ((1, 1), (2, 1), (3, 1)) + ((3, 1), (3, -1)) * 600)
+
 
 def _is_dead(key: CanonicalKey, N: int) -> bool:
     """Some crossing of the key has r < N <= r + d, so E_N of it is zero:

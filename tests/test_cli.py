@@ -123,11 +123,19 @@ def test_matrix_dump(capsys):
 
 @pytest.mark.parametrize("subcommand", ["walks", "matrix"])
 def test_json_only_subcommands_reject_format(capsys, subcommand):
-    # walks and matrix always print JSON, so --format is a usage error
-    with pytest.raises(SystemExit) as exc:
-        main([subcommand, "--braid", "1 -2 1 -2", "--strands", "3", "--format", "text"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    # walks and matrix always print JSON, so --format is a usage error,
+    # which exits 1 like any bad input
+    code, out, err = run(
+        capsys, subcommand, "--braid", "1 -2 1 -2", "--strands", "3", "--format", "text"
+    )
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --format" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(capsys, "compute", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: braidwalks compute")
 
 
 def test_oracle_subcommand(capsys):

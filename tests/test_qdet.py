@@ -1,6 +1,7 @@
 import ast
 import time
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -22,8 +23,9 @@ from braidwalks import (
     walk_sum_C,
     walk_weight,
 )
-from braidwalks.qdet import quantum_minors
+from braidwalks.qdet import _transfer, quantum_minors
 from corpus_util import (
+    LONG,
     det_q,
     differential_words,
     from_words,
@@ -188,6 +190,29 @@ class TestCqdet:
         assert len(C) == 466
         assert C == walk_sum_C(b)
         assert elapsed < 1.0
+
+    def test_long_word_beyond_recursion_limit(self):
+        # each key holds about 1201 entries, one step of the transfer each,
+        # so a reader that recursed once per step would fail here
+        C = C_qdet(LONG)
+        assert len(C) == 1200
+        assert C == walk_sum_C(LONG)
+
+    def test_one_step_list_per_minor_and_crossing(self):
+        # a crossing adds at most one step list per minor it touches and
+        # never copies a term: the lists reachable from the result are
+        # bounded by the minors times the crossings, not by the terms
+        row_sets = nonempty_subsets(range(2, LONG.strands + 1))
+        minors = _transfer(LONG, row_sets)
+        seen = set()
+        todo = list(minors.values())
+        while todo:
+            steps = todo.pop()
+            if id(steps) not in seen:
+                seen.add(id(steps))
+                todo.extend(prior for prior, *_ in steps if prior is not None)
+        pairs = sum(comb(LONG.strands, len(I)) for I in row_sets)
+        assert len(seen) <= pairs * (len(LONG) + 1)
 
     def test_single_positive_crossing_zero(self):
         assert not C_qdet(parse_braid("1", 2))

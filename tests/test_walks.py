@@ -21,6 +21,7 @@ from braidwalks import walks
 from braidwalks.qops import _merge_keys, evaluate_polynomial
 from braidwalks.walks import _dead_partners
 from corpus_util import (
+    LONG,
     _is_dead,
     cancellation_pairing,
     differential_words,
@@ -35,8 +36,6 @@ from corpus_util import (
 )
 
 FIG8 = parse_braid("1 -2 1 -2", 3)
-# 1203 crossings, deeper than the default recursion limit
-LONG = BraidWord(4, ((1, 1), (2, 1), (3, 1)) + ((3, 1), (3, -1)) * 600)
 ONE = LaurentPolynomial.one()
 Q = LaurentPolynomial.term(1)
 
