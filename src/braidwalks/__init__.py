@@ -26,20 +26,8 @@ from .jones import (
     qbinomial,
 )
 from .laurent import LaurentPolynomial
-from .qdet import (
-    C_qdet,
-    OperatorMatrix,
-    matrix_is_right_quantum,
-    rho,
-    right_quantum_check,
-)
-from .qops import (
-    CrossingWord,
-    OperatorPolynomial,
-    op_mul,
-    oracle_apply,
-    relation_oracle_check,
-)
+from .qdet import C_qdet, OperatorMatrix, rho
+from .qops import OperatorPolynomial, op_mul
 from .walks import (
     Path,
     Walk,
@@ -54,7 +42,6 @@ from .walks import (
 __all__ = [
     "BraidWord",
     "C_qdet",
-    "CrossingWord",
     "DiagramCell",
     "JonesResult",
     "LaurentPolynomial",
@@ -72,15 +59,11 @@ __all__ = [
     "evaluate_series",
     "figure_eight_closed_form",
     "is_knot_closure",
-    "matrix_is_right_quantum",
     "op_mul",
-    "oracle_apply",
     "parse_braid",
     "positive_braid_report",
     "qbinomial",
-    "relation_oracle_check",
     "rho",
-    "right_quantum_check",
     "series_terms",
     "underlying_permutation",
     "walk_sum_C",

@@ -104,7 +104,15 @@ def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
 
 
 def is_knot_closure(b: BraidWord) -> bool:
-    """True iff the closure of the braid is a knot (single m-cycle)."""
+    """True iff the closure of the braid is a knot (single m-cycle).
+
+    Each letter is a transposition, and a product of t transpositions has
+    at least m - t cycles, so an m-cycle needs at least m - 1 letters.  A
+    shorter word is answered before the permutation is built, so the time
+    and memory of a rejection do not grow with the strand count.
+    """
+    if len(b) < b.strands - 1:
+        return False
     perm = underlying_permutation(b)
     seen = 1
     pos = perm[0]

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .braid import BraidWord
 from .laurent import LaurentPolynomial
-from .qops import _LETTER, CanonicalKey, OperatorPolynomial, _merge_keys, op_mul
+from .qops import _LETTER, CanonicalKey, OperatorPolynomial, _merge_keys
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,12 @@ def _transfer(b: BraidWord, row_sets: Iterable[tuple[int, ...]]) -> dict[MinorKe
     with every operator.  For a matrix A put eta_c = sum_r A[r][c] psi_r.
     Reordering each product of psi to ascending rows gives (-q)^inv, so for
     an ascending column set J, prod_{c in J} eta_c is the sum over row sets
-    I of det_q(A_{I,J}) psi_I.  The relations matrix_is_right_quantum checks
-    say exactly that the eta_c obey the relations of the psi (ac = qca makes
+    I of det_q(A_{I,J}) psi_I.  The relations ac = qca, bd = qdb and
+    ad = da + qcb - q^-1 bc on every 2x2 submatrix (a b; c d) of A say
+    exactly that the eta_c obey the relations of the psi (ac = qca makes
     eta_c^2 = 0; ad = da + qcb - q^-1 bc makes eta_d eta_c = -q eta_c eta_d
-    for c < d): A is right-quantum.
+    for c < d): A is right-quantum.  The tests check them on rho
+    (tests/oracles.py).
       1. A submatrix of a right-quantum matrix is right-quantum, as the
          relations are conditions on its 2x2 submatrices; so the rows I of
          M, M_{I,*}, are right-quantum when M is.
@@ -234,33 +236,3 @@ def C_qdet(b: BraidWord) -> OperatorPolynomial:
         if (J, J) in minors
     )
 
-
-def matrix_is_right_quantum(M: OperatorMatrix) -> bool:
-    """Check ac=qca, bd=qdb, ad=da+qcb-q^{-1}bc on every 2x2 submatrix."""
-    q = LaurentPolynomial.term(1)
-    q_inv = LaurentPolynomial.term(-1)
-    n = M.dim
-    for i1 in range(n):
-        for i2 in range(i1 + 1, n):
-            for j1 in range(n):
-                for j2 in range(j1 + 1, n):
-                    a = M.entries[i1][j1]
-                    b = M.entries[i1][j2]
-                    c = M.entries[i2][j1]
-                    d = M.entries[i2][j2]
-                    if op_mul(a, c) != op_mul(c, a).scaled(q):
-                        return False
-                    if op_mul(b, d) != op_mul(d, b).scaled(q):
-                        return False
-                    rhs = (
-                        op_mul(d, a)
-                        + op_mul(c, b).scaled(q)
-                        - op_mul(b, c).scaled(q_inv)
-                    )
-                    if op_mul(a, d) != rhs:
-                        return False
-    return True
-
-
-def right_quantum_check(b: BraidWord) -> bool:
-    return matrix_is_right_quantum(rho(b))

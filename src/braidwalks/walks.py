@@ -173,15 +173,6 @@ class Walk:
     def inversions(self) -> int:
         return inversions(tuple(p.end for p in self.paths))
 
-    def is_simple(self) -> bool:
-        """No two paths traverse the same diagram cell."""
-        seen: set[DiagramCell] = set()
-        for p in self.paths:
-            if not seen.isdisjoint(p.footprint):
-                return False
-            seen.update(p.footprint)
-        return True
-
     def to_json(self) -> dict:
         return {
             "J": list(self.J),
@@ -200,11 +191,12 @@ def enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
     and are chosen start by start, depth first.  With simple_only a path
     whose cells meet those of the paths already chosen (used & cells) is
     skipped, and with it every completion of that choice; a choice is
-    simple exactly when no path meets an earlier one, so this keeps the
-    walks that Walk.is_simple keeps, in the same order.  A Walk is built
-    only for a complete choice, and a Path only for a path of a returned
-    walk, once, shared by every walk that uses it.  The recursion is one
-    level per start, at most m - 1 deep.
+    simple exactly when no path meets an earlier one (no two paths share a
+    cell of their footprints), so this keeps the walks that the reference
+    check tests/corpus_util.is_simple keeps, in the same order.  A Walk is
+    built only for a complete choice, and a Path only for a path of a
+    returned walk, once, shared by every walk that uses it.  The recursion
+    is one level per start, at most m - 1 deep.
 
     The empty braid word is excluded by convention; its series is the
     constant 1 (unknot normalization).

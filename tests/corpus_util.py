@@ -3,17 +3,18 @@ the test suite.
 
 The references are the direct, unoptimized forms of what the package
 computes faster: paths by replaying each choice of letters move by move,
-walks by product and filter, weights by normal ordering
-whole words letter by letter (from_words), rho as the product of full local
-matrices, and C_qdet as quantum determinants summed over permutations
-(det_q).  They live only here; the package builds neither local matrices,
-permutation sums nor whole-word terms, and forms the term of a word only as
-its one-letter key entries folded through qops._merge_keys (merged_word
-restates that fold for the tests).  from_words shares no code with
-_merge_keys, so reference_walk_weight and reference_C_qdet check the
-engine's merge.  The commutation exponents are not restated: from_words
-reads the package's one table, qops._MERGE_EXP, and the q-difference oracle
-checks that table independently.
+walks by product and filter (the filter is is_simple, a set test on the
+cell footprints, against the bitmask prune of enumerate_walks), weights by
+normal ordering whole words letter by letter (from_words), rho as the
+product of full local matrices, and C_qdet as quantum determinants summed
+over permutations (det_q).  They live only here; the package builds neither
+local matrices, permutation sums nor whole-word terms, and forms the term
+of a word only as its one-letter key entries folded through
+qops._merge_keys (merged_word restates that fold for the tests).
+from_words shares no code with _merge_keys, so reference_walk_weight and
+reference_C_qdet check the engine's merge.  The commutation exponents are
+not restated: from_words reads the package's one table, qops._MERGE_EXP,
+and the q-difference oracle of oracles.py checks that table independently.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Mapping
 
 from braidwalks import (
     BraidWord,
-    CrossingWord,
+    DiagramCell,
     LaurentPolynomial,
     OperatorMatrix,
     OperatorPolynomial,
@@ -37,6 +38,7 @@ from braidwalks import (
 )
 from braidwalks.qops import _LETTER, _MERGE_EXP, CanonicalKey, _eval_base, _merge_keys
 from braidwalks.walks import inversions
+from oracles import CrossingWord
 
 # 1203 crossings, deeper than the default recursion limit: `1 2 3` and then
 # 600 times `3 -3` on 4 strands, a knot closure
@@ -226,6 +228,17 @@ def reference_evaluate_polynomial(
     return total
 
 
+def is_simple(walk: Walk) -> bool:
+    """No two paths of the walk traverse the same diagram cell: the set test
+    the bitmask prune of enumerate_walks is checked against."""
+    seen: set[DiagramCell] = set()
+    for p in walk.paths:
+        if not seen.isdisjoint(p.footprint):
+            return False
+        seen.update(p.footprint)
+    return True
+
+
 def cancellation_pairing(b: BraidWord) -> bool:
     """Check that nonsimple walks cancel in pairs.
 
@@ -233,7 +246,7 @@ def cancellation_pairing(b: BraidWord) -> bool:
     and that the number of nonsimple walks is even.
     """
     all_walks = enumerate_walks(b, simple_only=False)
-    simple = [w for w in all_walks if w.is_simple()]
+    simple = [w for w in all_walks if is_simple(w)]
     if (len(all_walks) - len(simple)) % 2 != 0:
         return False
     zero = OperatorPolynomial.zero()
@@ -288,7 +301,7 @@ def reference_enumerate_paths(b: BraidWord, start: int) -> list[Path]:
 def reference_enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
     """enumerate_walks by building every candidate walk, the product of its
     path pools (from reference_enumerate_paths), and filtering with
-    Walk.is_simple: the reference the depth-first search of enumerate_walks
+    is_simple: the reference the depth-first search of enumerate_walks
     is compared against."""
     m = b.strands
     if len(b) == 0 or m < 2:
@@ -308,7 +321,7 @@ def reference_enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
                     continue
                 for combo in itertools.product(*pools):
                     walk = Walk(tuple(combo))
-                    if simple_only and not walk.is_simple():
+                    if simple_only and not is_simple(walk):
                         continue
                     walks.append(walk)
     return walks

@@ -13,7 +13,6 @@ import pytest
 
 from braidwalks import (
     BraidWord,
-    CrossingWord,
     LaurentPolynomial,
     OperatorMatrix,
     OperatorPolynomial,
@@ -21,14 +20,10 @@ from braidwalks import (
     colored_jones,
     enumerate_walks,
     figure_eight_closed_form,
-    matrix_is_right_quantum,
     op_mul,
-    oracle_apply,
     parse_braid,
     positive_braid_report,
-    relation_oracle_check,
     rho,
-    right_quantum_check,
     series_terms,
     walk_sum_C,
     walk_weight,
@@ -39,10 +34,19 @@ from braidwalks.cli import main as cli_main
 from braidwalks.qdet import C_qdet
 from braidwalks.qops import evaluate_polynomial
 from corpus_util import (
+    is_simple,
     knot_closure_words,
     merged_word,
     random_positive_knot_words,
+    reference_eval_base,
     unpruned_series_terms,
+)
+from oracles import (
+    CrossingWord,
+    matrix_is_right_quantum,
+    oracle_apply,
+    relation_oracle_check,
+    right_quantum_check,
 )
 
 FIG8 = parse_braid("1 -2 1 -2", 3)
@@ -52,6 +56,22 @@ FIG8_JONES = LaurentPolynomial({-2: 1, -1: -1, 0: 1, 1: -1, 2: 1})
 
 
 REPORT_LINES = []
+
+
+def mirror(b):
+    """The mirror image: every crossing changes sign."""
+    return BraidWord(b.strands, tuple((l, -sign) for l, sign in b.letters))
+
+
+def reversal(b):
+    """The letters in reverse order: the closure with its orientation
+    reversed."""
+    return BraidWord(b.strands, b.letters[::-1])
+
+
+def q_inverted(p):
+    """p(q^-1)."""
+    return LaurentPolynomial({-e: c for e, c in p.items()})
 
 
 def report(criterion, ok, detail):
@@ -78,11 +98,13 @@ def sweep(corpus):
         "cancellation_failures": [],
         "truncation_failures": [],
         "bracket_mismatches": [],
+        # J'(b)(N) from the qdet series, keyed (b, N)
+        "jones": {},
     }
     for b in corpus:
         name = f"{b.serialize()!r} on {b.strands}"
         all_walks = enumerate_walks(b, simple_only=False)
-        simple = [w for w in all_walks if w.is_simple()]
+        simple = [w for w in all_walks if is_simple(w)]
         C_all = OperatorPolynomial.zero()
         for w in all_walks:
             C_all = C_all + walk_weight(w)
@@ -110,11 +132,10 @@ def sweep(corpus):
                 results["jones_mismatches"].append((name, N))
             if any(terms_w[n] for n in range(n_max + 1, n_max + extra + 1)):
                 results["truncation_failures"].append((name, N))
-            if N == 2:
-                series = sum(terms_q, LaurentPolynomial.zero())
-                jones2 = series.shifted((N - 1) * framing // 2)
-                if bracket_jones_oracle(b) != jones2:
-                    results["bracket_mismatches"].append(name)
+            series = sum(terms_q, LaurentPolynomial.zero())
+            jones = results["jones"][b, N] = series.shifted((N - 1) * framing // 2)
+            if N == 2 and bracket_jones_oracle(b) != jones:
+                results["bracket_mismatches"].append(name)
     return results
 
 
@@ -310,4 +331,62 @@ def test_criterion_11_right_quantum(corpus):
         ok and negative_ok,
         f"rho right-quantum on {len(short)} words of length <= 4;"
         " corrupted matrix rejected",
+    )
+
+
+def test_criterion_12_mirror_and_reversal(sweep, monkeypatch):
+    # J'(mirror b)(q) = J'(b)(q^-1) and J'(reversal b) = J'(b), framing
+    # included; the corpus is closed under both moves, so every pair is read
+    # from the sweep
+    jones = sweep["jones"]
+    mirror_failures = [
+        (b.serialize(), b.strands, N)
+        for (b, N), J in jones.items()
+        if jones.get((mirror(b), N)) != q_inverted(J)
+    ]
+    reversal_failures = [
+        (b.serialize(), b.strands, N)
+        for (b, N), J in jones.items()
+        if jones.get((reversal(b), N)) != J
+    ]
+
+    def symmetric(b, N):
+        J = colored_jones(b, N).polynomial
+        return (
+            colored_jones(mirror(b), N).polynomial == q_inverted(J)
+            and colored_jones(reversal(b), N).polynomial == J
+        )
+
+    larger_ok = symmetric(parse_braid("1 2 3 1 2 3 1 2 3", 4), 4) and symmetric(
+        parse_braid("1 -2 3 -4 1 -2 3 -4", 5), 4
+    )
+
+    # negative control: for sign -1 at N >= 3 the exponent of the last
+    # factor of _eval_base moves by one.  J(1) stays 1 (the factor still
+    # vanishes at q = 1) and the walks and qdet C agree, as the fault is
+    # after C; the mirror identity must fail on the trefoil and figure-eight
+    real = qops._eval_base
+
+    def faulty_eval_base(sign, r, d, N):
+        if sign > 0 or N < 3 or d == 0:
+            return real(sign, r, d, N)
+        last = ONE - LaurentPolynomial.term(sign * (N - r - d) + 1)
+        return reference_eval_base(sign, r, d - 1, N) * last
+
+    negative_ok = True
+    with monkeypatch.context() as patch:
+        patch.setattr(qops, "_eval_base", faulty_eval_base)
+        for b in (parse_braid("1 1 1", 2), FIG8):
+            J = colored_jones(b, 3).polynomial
+            negative_ok = negative_ok and (
+                colored_jones(mirror(b), 3).polynomial != q_inverted(J)
+            )
+    report(
+        12,
+        not mirror_failures and not reversal_failures and larger_ok and negative_ok,
+        f"J'(mirror b)(q) = J'(b)(q^-1) and J'(reversal b) = J'(b) on"
+        f" {len({b for b, _N in jones})} words for N in {{2,3}} and on"
+        " (s1 s2 s3)^3 and (s1 s2^-1 s3 s4^-1)^2 at N=4; a shifted sign -1"
+        " factor fails the mirror identity"
+        f" (failures: {mirror_failures[:3]} {reversal_failures[:3]})",
     )

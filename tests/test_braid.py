@@ -8,6 +8,7 @@ from braidwalks import (
     underlying_permutation,
     writhe,
 )
+from braidwalks import braid
 
 FIG8 = parse_braid("1 -2 1 -2", 3)
 
@@ -56,6 +57,17 @@ def test_is_knot_closure():
     assert is_knot_closure(BraidWord(1, ()))
 
 
+def test_short_word_is_rejected_before_the_permutation(monkeypatch):
+    # an m-cycle needs at least m - 1 transpositions, so a shorter word is
+    # no knot closure, answered without a permutation over every strand
+    def refuse(b):
+        raise AssertionError("underlying_permutation was built")
+
+    monkeypatch.setattr(braid, "underlying_permutation", refuse)
+    assert not is_knot_closure(BraidWord(10**9, ((1, 1),)))
+    assert not is_knot_closure(parse_braid("1 -2", 4))
+
+
 def test_serialize_round_trip():
     text = "1 -2 1 -2"
     assert parse_braid(text, 3).serialize() == text
@@ -82,6 +94,17 @@ words = st.integers(2, 4).flatmap(
 def test_knot_closure_writhe_parity(b):
     if is_knot_closure(b):
         assert (writhe(b) - (b.strands - 1)) % 2 == 0
+
+
+@given(words)
+def test_knot_closure_is_one_cycle(b):
+    # is_knot_closure, its early answer for short words included, against
+    # the cycle of strand 1 followed through the permutation
+    perm = underlying_permutation(b)
+    pos, length = perm[0], 1
+    while pos != 1:
+        pos, length = perm[pos - 1], length + 1
+    assert is_knot_closure(b) == (length == b.strands)
 
 
 @given(words, words)

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,19 @@ def test_non_knot_exit_code(capsys):
     )
     assert code == 1
     assert "not a knot" in err
+
+
+def test_huge_strand_count_exits_fast(capsys):
+    # one letter cannot close 10^9 strands into a knot; the answer must not
+    # wait on a permutation of every strand
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "compute", "--braid", "1", "--strands", "1000000000", "--color", "2"
+    )
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (1, "")
+    assert "not a knot" in err
+    assert elapsed < 1.0
 
 
 def test_bad_word_exit_code(capsys):

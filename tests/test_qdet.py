@@ -10,16 +10,13 @@ import braidwalks
 from braidwalks import (
     BraidWord,
     C_qdet,
-    CrossingWord,
     LaurentPolynomial,
     OperatorMatrix,
     OperatorPolynomial,
     enumerate_paths,
-    matrix_is_right_quantum,
     op_mul,
     parse_braid,
     rho,
-    right_quantum_check,
     walk_sum_C,
     walk_weight,
 )
@@ -36,6 +33,7 @@ from corpus_util import (
     reference_rho,
     submatrix,
 )
+from oracles import CrossingWord, matrix_is_right_quantum, right_quantum_check
 
 FIG8 = parse_braid("1 -2 1 -2", 3)
 ONE = LaurentPolynomial.one()

@@ -4,17 +4,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidwalks import (
-    CrossingWord,
-    LaurentPolynomial,
-    OperatorPolynomial,
-    oracle_apply,
-    op_mul,
-    relation_oracle_check,
-)
+from braidwalks import LaurentPolynomial, OperatorPolynomial, op_mul
 from braidwalks import qops
 from braidwalks.qops import evaluate_polynomial
 from corpus_util import from_words, merged_word, reference_eval_base
+from oracles import CrossingWord, apply_word, oracle_apply, relation_oracle_check
 
 ONE = LaurentPolynomial.one()
 Q = LaurentPolynomial.term(1)
@@ -166,7 +160,7 @@ class TestOracle:
 
 class TestOperators:
     """Each operator of the oracle on f = q x^2 y^-1 u^3, expanded by hand
-    from the operator comment in qops (Tv: v -> qv, v^: multiply by v)."""
+    from the operator comment in oracles (Tv: v -> qv, v^: multiply by v)."""
 
     F = {(2, -1, 3): Q}
 
@@ -187,12 +181,12 @@ class TestOperators:
         ],
     )
     def test_on_monomial(self, sign, letter, expected):
-        assert qops.apply_word(letter, sign, self.F) == expected
+        assert apply_word(letter, sign, self.F) == expected
 
     @pytest.mark.parametrize("sign,word", [(1, "x"), (0, "a"), (2, "b")])
     def test_rejects_unknown_letter_or_sign(self, sign, word):
         with pytest.raises(ValueError):
-            qops.apply_word(word, sign, self.F)
+            apply_word(word, sign, self.F)
 
 
 class TestRelations:

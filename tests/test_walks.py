@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from braidwalks import (
     BraidWord,
     C_qdet,
-    CrossingWord,
     LaurentPolynomial,
     NotAKnotError,
     OperatorPolynomial,
@@ -34,6 +33,7 @@ from corpus_util import (
     reference_walk_weight,
     unpruned_series_terms,
 )
+from oracles import CrossingWord
 
 FIG8 = parse_braid("1 -2 1 -2", 3)
 ONE = LaurentPolynomial.one()
