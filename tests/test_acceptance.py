@@ -55,9 +55,6 @@ Q = LaurentPolynomial.term(1)
 FIG8_JONES = LaurentPolynomial({-2: 1, -1: -1, 0: 1, 1: -1, 2: 1})
 
 
-REPORT_LINES = []
-
-
 def mirror(b):
     """The mirror image: every crossing changes sign."""
     return BraidWord(b.strands, tuple((l, -sign) for l, sign in b.letters))
@@ -72,6 +69,9 @@ def reversal(b):
 def q_inverted(p):
     """p(q^-1)."""
     return LaurentPolynomial({-e: c for e, c in p.items()})
+
+
+REPORT_LINES = []
 
 
 def report(criterion, ok, detail):
