@@ -197,8 +197,8 @@ class LaurentPolynomial:
 
     def packed(self, B: int) -> tuple[int, int]:
         """(v, P(2^B)) for self = q^v * P with v the valuation: the
-        Kronecker form sum_of_products and the power loop of
-        walks.series_terms compute with.  The zero polynomial gives (0, 0)."""
+        Kronecker form sum_of_products and the power loop
+        qops.pruned_powers compute with.  The zero polynomial gives (0, 0)."""
         if not self._terms:
             return 0, 0
         v = min(self._terms)

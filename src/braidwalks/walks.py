@@ -6,20 +6,22 @@ begins to cross over another strand it may jump down instead.  A walk is a
 set J of starting strands (never strand 1), a permutation of J, and one
 path per start.  C is the sum of the walk weights; the colored Jones
 series is sum_n E_N(C^n), which truncates at n = (m-1)(N-1).  Keys,
-operator polynomials, their merge and E_N are the crossing algebra of
-qops, which qdet builds on too.
+operator polynomials, their merge, the packed powers of C and E_N are the
+crossing algebra of qops, which qdet builds on too; series_terms proves
+why the powers may drop their dead keys and evaluates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .braid import BraidWord, DiagramCell, NotAKnotError, is_knot_closure
 from .laurent import LaurentPolynomial
 from .qops import (
-    _LETTER, _MERGE_EXP, CanonicalKey, OperatorPolynomial, _merge_keys, evaluate_polynomial
+    _LETTER, CanonicalKey, OperatorPolynomial, _merge_keys, evaluate_polynomial,
+    pruned_powers,
 )
 
 _LETTER_OF = {fields: x for x, fields in _LETTER.items()}
@@ -186,17 +188,21 @@ def enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
 
     The walks come by size of J, then J, then the permutation of J, and
     within one (J, ends) pair in the order of the product of its path pools,
-    the pool of the last start varying fastest.  The paths come from one
-    search per start (_path_records), each with its cells as a bitmask,
-    and are chosen start by start, depth first.  With simple_only a path
-    whose cells meet those of the paths already chosen (used & cells) is
-    skipped, and with it every completion of that choice; a choice is
+    the pool of the last start varying fastest.  The ends of J are chosen
+    start by start, depth first, in the order of permutations(J), and a
+    choice of ends is cut with all its completions as soon as a start has
+    no path to its end, so the permutations with an empty pool are never
+    visited one by one.  The paths come from one search per start
+    (_path_records), each with its cells as a bitmask, and are chosen
+    start by start, depth first.  With simple_only a path whose cells meet
+    those of the paths already chosen (used & cells) is skipped, and with
+    it every completion of that choice; a choice is
     simple exactly when no path meets an earlier one (no two paths share a
     cell of their footprints), so this keeps the walks that the reference
     check tests/corpus_util.is_simple keeps, in the same order.  A Walk is
     built only for a complete choice, and a Path only for a path of a
-    returned walk, once, shared by every walk that uses it.  The recursion
-    is one level per start, at most m - 1 deep.
+    returned walk, once, shared by every walk that uses it.  Both
+    recursions are one level per start, at most m - 1 deep.
 
     The empty braid word is excluded by convention; its series is the
     constant 1 (unknot normalization).
@@ -228,12 +234,16 @@ def enumerate_walks(b: BraidWord, simple_only: bool) -> list[Walk]:
                 extend(pools[1:], used | cells)
             chosen.pop()
 
+    def choose_ends(J, pools, free: tuple) -> None:
+        if not free:
+            extend(pools, 0)
+        for i, end in enumerate(free):
+            if pool := by_pair.get((J[len(pools)], end)):
+                choose_ends(J, [*pools, pool], free[:i] + free[i + 1:])
+
     for size in range(1, m):
         for J in combinations(starts, size):
-            for ends in permutations(J):
-                pools = [by_pair.get(pair, []) for pair in zip(J, ends)]
-                if all(pools):
-                    extend(pools, 0)
+            choose_ends(J, [], J)
     return walks
 
 
@@ -298,42 +308,6 @@ def walk_sum_C(b: BraidWord) -> OperatorPolynomial:
     return OperatorPolynomial({k: LaurentPolynomial(c) for k, c in out.items()})
 
 
-# the largest |alpha| and |beta| + |gamma|: a term of C with fields at most M
-# has |alpha s| and |beta s + gamma r| at most _MERGE_EXP_BOUND * M
-_MERGE_EXP_BOUND = max(
-    max(abs(alpha), abs(beta) + abs(gamma))
-    for alpha, beta, gamma in _MERGE_EXP.values()
-)
-
-
-def _dead_partners(C: OperatorPolynomial, N: int):
-    """The dead-partner index of series_terms.
-
-    Returns the slots (crossing, sign) of C in ascending order and
-    dead(i, r, d), the bitmask of the terms t of C (bit t for the t-th term
-    in iteration order) with r + r_t < N <= r + r_t + d + d_t at slot i.
-    A term with no entry at slot i, or one with r_t = d_t = 0 there, makes
-    the slot dead only for a key that is dead there already, so only the
-    terms with an (r_t, d_t) there are read, grouped by it; the keys asked
-    about are live.  dead is memoized, so each (slot, r, d) that a power
-    key takes is worked out once per call.
-    """
-    slots = sorted({(j, sign) for key in C._terms for j, sign, *_ in key})
-    index = {slot: i for i, slot in enumerate(slots)}
-    fields: list[dict[tuple[int, int], int]] = [{} for _ in slots]
-    for t, key in enumerate(C._terms):
-        for j, sign, _s, r, d in key:
-            at = fields[index[j, sign]]
-            at[r, d] = at.get((r, d), 0) | 1 << t
-
-    @cache
-    def dead(i: int, r: int, d: int) -> int:
-        at = fields[i].items()
-        return sum(t for (rt, dt), t in at if r + rt < N <= r + rt + d + dt)
-
-    return slots, dead
-
-
 def series_terms(
     C: OperatorPolynomial, N: int, n_max: int
 ) -> list[LaurentPolynomial]:
@@ -360,136 +334,15 @@ def series_terms(
     if its stack uses some cell N times.  Multiplying by C only raises cell
     counts, so every descendant of a dead key is dead: the live part of C^n
     is the live part of the products of the live part of C^(n-1) with C,
-    and E_N of it is E_N(C^n).  The (m-1)(N-1) truncation of
+    and E_N of it is E_N(C^n).  So each term is E_N of a power of
+    qops.pruned_powers, which forms only those live products, packed (its
+    docstring has the dead-partner index and the layout), and every term
+    after its first empty power is zero.  The (m-1)(N-1) truncation of
     evaluate_series is the case of a gap-k cell used N times.
-
-    Dead partners.  No dead product is formed.  A product adds keys field
-    by field, so x*t is dead exactly when at some slot i
-    r_x + r_t < N <= r_x + r_t + d_x + d_t, a test on slot i of x and of t
-    alone.  _dead_partners keeps, per slot and per (r, d) a key takes there
-    ((0, 0) where it has no entry), the bitmask of the terms t of C that
-    fail it, and each key of a power is multiplied only by the terms
-    outside the union of its slots' masks.  Every key of a power is live,
-    so a term adds nothing at a slot where it has r_t = d_t = 0.  So exactly the live products
-    are formed, whatever C is: the power equals op_mul followed by dropping
-    the dead keys, which the tests check.  Cancelled keys are dropped.
-
-    The powers stay packed from one product to the next (Kronecker
-    substitution, Harvey, arXiv:0712.4046); each key kept is decoded once
-    per power, for its dead partners and for evaluate_polynomial.  The
-    product is the one op_mul computes, key by key: with M the largest
-    field of C, every field of a pruned C^n is at most n*M, since a product
-    adds fields and the prune only removes keys.
-
-    Keys and shift.  C has L slots, one per (crossing, sign) it uses, and
-    a key is one integer x holding s, r and d of each slot, slot by slot in
-    ascending order, as digits of V = (2L * n_max*M * 2E*M).bit_length()
-    bits (E = _MERGE_EXP_BOUND).  A field of C^n for n <= n_max is at most
-    n_max*M, below 2^V, so the key of a product is the sum of the two keys,
-    with no carry.  A canonical entry is never all zero, so a nonzero slot
-    marks an entry and the encoding is one-to-one.  Two slots on one
-    crossing would meet in C^2, so they raise as op_mul does.  The q-shift
-    of _merge_keys is the sum over slots of
-    r1*(alpha s2) + d1*(beta s2 + gamma r2), the dot product of the left key
-    x with the vector y of the term of C that holds alpha s2 at r,
-    beta s2 + gamma r2 at d and 0 at s.  The entries of y are at most E*M in
-    absolute value, so Y, which adds E*M to each r and d entry of y, has
-    entries in [0, 2E*M]; it is packed in descending order, at 2^V too.
-    Only the 2L r and d digits of Y are nonzero, so each coefficient of the
-    product x*Y sums at most 2L products of entries and is below 2^V, and
-    no digit carries: the digit at 2^(V(3L-1)) is exactly x.Y, and the
-    shift is that minus E*M times the sum of the r and d fields of x.
-
-    Coefficients.  Each coefficient q^v * P(q) is kept as (v, P(2^B)) with
-    B = (||C||_1^n_max).bit_length() + 1, ||.||_1 the sum of the absolute
-    coefficients over all terms.  The value at 2^B is a ring homomorphism,
-    so products and sums, realigned to the lower v when two meet at a key,
-    are exact whatever their size.  ||C^n||_1 <= ||C||_1^n, as
-    ||f g||_1 <= ||f||_1 ||g||_1 and the prune only removes keys, so every
-    coefficient of a pruned C^n lies below 2^(B-1), and the balanced
-    base-2^B digits of LaurentPolynomial.unpacked return it exactly; a
-    packed zero is the zero polynomial, so cancelled keys are dropped.
     """
     terms = [LaurentPolynomial.one()]
-    slots, partners = _dead_partners(C, N)
-    if n_max >= 2:
-        for (j, _), (j2, _) in zip(slots, slots[1:]):
-            if j == j2:
-                raise ValueError(f"sign mismatch at crossing {j}")
-    L = len(slots)
-    M = max((max(e[2:]) for key in C._terms for e in key), default=0)
-    off = _MERGE_EXP_BOUND * M
-    V = (2 * L * n_max * M * 2 * off).bit_length()
-    norm = sum(abs(c) for coeff in C._terms.values() for _e, c in coeff.items())
-    B = (norm**n_max).bit_length() + 1
-    top, digit_mask = V * (3 * L - 1), (1 << V) - 1
-
-    index = {slot: i for i, slot in enumerate(slots)}
-    offsets = sum(off << (top - V * k) for k in range(3 * L) if k % 3)
-    factors = []  # (key, valuation, packed coefficient, packed Y)
-    for key, coeff in C._terms.items():
-        K, Y = 0, offsets
-        for j, sign, s, r, d in key:
-            i = index[j, sign]
-            alpha, beta, gamma = _MERGE_EXP[sign]
-            K |= (s | r << V | d << 2 * V) << 3 * V * i
-            Y += (alpha * s) << (top - V * (3 * i + 1))
-            Y += (beta * s + gamma * r) << (top - V * (3 * i + 2))
-        factors.append((K, *coeff.packed(B), Y))
-    everyone = (1 << len(factors)) - 1
-
-    def decoded(K: int) -> tuple[CanonicalKey, int, int]:
-        """The canonical key of K, the sum of its r and d fields and the
-        union of the dead partners of its slots."""
-        entries = []
-        xsum = dead = 0
-        for i, (j, sign) in enumerate(slots):
-            s, r, d = K & digit_mask, K >> V & digit_mask, K >> 2 * V & digit_mask
-            K >>= 3 * V
-            dead |= partners(i, r, d)
-            if s or r or d:
-                entries.append((j, sign, s, r, d))
-                xsum += r + d
-        return tuple(entries), xsum, dead
-
-    # key -> (valuation - E*M * (sum of r and d), packed coefficient, dead
-    # partners)
-    power = {0: (0, 1, decoded(0)[2])}
-    for _ in range(n_max):
-        product: dict[int, tuple[int, int]] = {}
-        for K1, (v1, c1, dead) in power.items():
-            partners_left = everyone ^ dead
-            while partners_left:
-                bit = partners_left & -partners_left
-                partners_left ^= bit
-                K2, v2, c2, Y2 = factors[bit.bit_length() - 1]
-                K = K1 + K2
-                v = v1 + v2 + (K1 * Y2 >> top & digit_mask)
-                c = c1 * c2
-                prev = product.get(K)
-                if prev is not None:
-                    pv, pc = prev
-                    if pv <= v:
-                        v, c = pv, pc + (c << B * (v - pv))
-                    else:
-                        c += pc << B * (pv - v)
-                product[K] = (v, c)
-        power = {}
-        live: dict[CanonicalKey, LaurentPolynomial] = {}
-        for K, (v, c) in product.items():
-            if not c:
-                continue
-            key, xsum, dead = decoded(K)
-            live[key] = LaurentPolynomial.unpacked(c, B, v)
-            power[K] = (v - off * xsum, c, dead)
-        p = OperatorPolynomial.__new__(OperatorPolynomial)
-        p._terms = live
-        terms.append(evaluate_polynomial(p, N))
-        if not power:
-            terms.extend(
-                LaurentPolynomial.zero() for _ in range(n_max - len(terms) + 1)
-            )
-            break
+    terms.extend(evaluate_polynomial(p, N) for p in pruned_powers(C, N, n_max))
+    terms.extend(LaurentPolynomial.zero() for _ in range(n_max + 1 - len(terms)))
     return terms
 
 
@@ -507,7 +360,4 @@ def evaluate_series(
     if N < 2:
         raise ValueError("color N must be at least 2")
     n_max = (b.strands - 1) * (N - 1)
-    total = LaurentPolynomial.zero()
-    for term in series_terms(C, N, n_max):
-        total = total + term
-    return total
+    return sum(series_terms(C, N, n_max), LaurentPolynomial.zero())

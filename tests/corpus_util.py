@@ -48,7 +48,7 @@ LONG = BraidWord(4, ((1, 1), (2, 1), (3, 1)) + ((3, 1), (3, -1)) * 600)
 def _is_dead(key: CanonicalKey, N: int) -> bool:
     """Some crossing of the key has r < N <= r + d, so E_N of it is zero:
     the prune of reference_series_terms, and the test the dead-partner index
-    of walks.series_terms is checked against."""
+    of qops.pruned_powers is checked against."""
     return any(r < N <= r + d for _j, _sign, _s, r, d in key)
 
 

@@ -123,6 +123,18 @@ def test_walks_dump(capsys):
     ]
 
 
+def test_walks_on_many_strands_exits_fast(capsys):
+    # the word 1 leaves every start above 2 on its own strand, so most ends
+    # of a start set have no path: the search must not visit each of the
+    # permutations of {2..12} that contain one
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "walks", "--braid", "1", "--strands", "12")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert len(json.loads(out)) == 1023
+    assert elapsed < 10.0
+
+
 def test_matrix_dump(capsys):
     code, out, _ = run(capsys, "matrix", "--braid", "1", "--strands", "2")
     assert code == 0

@@ -260,3 +260,16 @@ def test_no_import_from_the_walk_engine(module):
     assert not {
         n for n in names if n == "braidwalks.walks" or n.startswith("braidwalks.walks.")
     }
+
+
+def test_only_qops_reads_the_commutation_table():
+    # the q-commutation rule and the packed key layout have one home: no
+    # other module may import the table or the dead-partner index
+    package = Path(braidwalks.__file__).parent
+    for module in sorted(p.stem for p in package.glob("*.py")):
+        if module != "qops":
+            names = imported_names(module)
+            assert not {
+                n for n in names
+                if n.rsplit(".", 1)[-1] in {"_MERGE_EXP", "_dead_partners"}
+            }, module

@@ -17,8 +17,7 @@ from braidwalks import (
     walk_weight,
 )
 from braidwalks import walks
-from braidwalks.qops import _merge_keys, evaluate_polynomial
-from braidwalks.walks import _dead_partners
+from braidwalks.qops import _dead_partners, _merge_keys, evaluate_polynomial
 from corpus_util import (
     LONG,
     _is_dead,
